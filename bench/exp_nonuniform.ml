@@ -12,7 +12,7 @@
 
 open Ascylib
 module W = Ascy_harness.Workload
-module R = Ascy_harness.Sim_run
+module Engine = Ascy_harness.Engine
 module Sim = Ascy_mem.Sim
 module P = Ascy_platform.Platform
 module Rep = Ascy_harness.Report
@@ -22,12 +22,14 @@ module J = Ascy_util.Json
 let algos = [ "ht-async"; "ht-clht-lb"; "ht-pugh"; "ht-java"; "ht-tbb" ]
 
 (* A custom driver: Sim_run covers uniform workloads; spikes and skew
-   need their own loop. *)
+   need their own loop, still executed through the engine. *)
 let run_custom name ~nthreads ~initial ~body_gen =
   let entry = Registry.by_name name in
   let module A = (val entry.Registry.maker) in
   let module M = A (Sim.Mem) in
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads (fun sim ->
+  let cfg = { (Engine.default ~platform:P.xeon20 ~nthreads) with Engine.seed = 3 } in
+  Engine.with_session cfg (fun session ->
+      let sim = session.Engine.sim in
       let t = M.create ~hint:initial () in
       let rng0 = Ascy_util.Xorshift.create 17 in
       let filled = ref 0 in
@@ -44,7 +46,7 @@ let run_custom name ~nthreads ~initial ~body_gen =
                 ~remove:(fun k -> ignore (M.remove t k))
                 ~op_done:(fun () -> M.op_done t))
       in
-      let makespan = Sim.run sim bodies in
+      let makespan = Engine.run session bodies in
       let stats = Sim.stats sim ~makespan in
       let total = Array.fold_left ( + ) 0 ops in
       (float_of_int total /. stats.Sim.seconds /. 1e6, M.size t))

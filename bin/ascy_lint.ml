@@ -28,6 +28,14 @@
    silently diverge on the other, so any [kdx_]-prefixed token elsewhere
    under lib/ is a finding.
 
+   Rule D — every simulated execution goes through the engine.  Under
+   lib/, the tokens [Sim.run] and [Sim.with_sim] may appear only in
+   [lib/harness/engine.ml], so that a knob added to [Engine.config]
+   (model, faults, observers, race detection) reaches every harness.
+   [lib/analysis/ascy_check.ml] is whitelisted: it lives in
+   [ascy_analysis], which [ascy_harness] depends on, so it cannot call
+   [Engine] without inverting that layering.
+
    The scanner lexes enough OCaml to skip comments (nested, with
    embedded strings), string literals (escapes and {|quoted|} forms)
    and character literals, so prose never triggers a finding.
@@ -64,6 +72,9 @@ let rule_b_dirs =
    the native RDCSS/k-CAS implementation and the simulator's atomic
    multi-line commit *)
 let rule_c_whitelist = [ "lib/mem/backend/mem_native.ml"; "lib/mem/core/sim.ml" ]
+
+(* the engine, plus the one caller below it in the library order *)
+let rule_d_whitelist = [ "lib/harness/engine.ml"; "lib/analysis/ascy_check.ml" ]
 
 let raw_modules =
   [ "Atomic"; "Mutex"; "Condition"; "Domain"; "Thread"; "Semaphore" ]
@@ -316,6 +327,28 @@ let check_rule_c path text =
           done)
         [ "kdx_"; "Kdx_" ])
 
+let check_rule_d path text =
+  iter_lines text (fun lineno line ->
+      List.iter
+        (fun tok ->
+          let tlen = String.length tok in
+          let len = String.length line in
+          for pos = 0 to len - tlen do
+            if
+              String.sub line pos tlen = tok
+              && (pos = 0 || not (is_ident_char line.[pos - 1]))
+              && (pos + tlen = len || not (is_ident_char line.[pos + tlen]))
+            then
+              report path lineno
+                (Printf.sprintf
+                   "[%s] outside the engine — run simulated executions \
+                    through Ascy_harness.Engine (with_session/run) so every \
+                    engine knob applies; only %s may call it"
+                   tok
+                   (String.concat " and " rule_d_whitelist))
+          done)
+        [ "Sim.run"; "Sim.with_sim" ])
+
 let rec walk dir f =
   Array.iter
     (fun name ->
@@ -359,7 +392,8 @@ let () =
         !found
       in
       if in_rule_b_scope && not has_pragma then check_rule_b path text;
-      if not (List.mem path rule_c_whitelist) then check_rule_c path text)
+      if not (List.mem path rule_c_whitelist) then check_rule_c path text;
+      if not (List.mem path rule_d_whitelist) then check_rule_d path text)
     files;
   match List.rev !findings with
   | [] ->

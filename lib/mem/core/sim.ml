@@ -129,12 +129,6 @@ let model_names () = Models.names
 (* Core state                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type pending =
-  | P_access of access_kind * int
-  | P_work of int
-  | P_kcas of int array (* multi-word CAS: one atomic commit, charged per line *)
-  | P_none
-
 type step = Finished | Blocked
 
 type thread = {
@@ -143,10 +137,6 @@ type thread = {
   socket : int;
   instr_scale : float; (* SMT issue-sharing multiplier for this thread *)
   mutable clock : int; (* local time, cycles *)
-  mutable pend : pending;
-  mutable act : action; (* scheduler lookahead, cached when the effect
-                           is performed so listing the runnable set
-                           allocates nothing *)
   mutable cont : (unit, step) Effect.Deep.continuation option;
   mutable finished : bool;
   mutable crashed : bool; (* crash-stopped by an injected fault *)
@@ -232,8 +222,6 @@ let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_mo
           socket = P.socket_of platform tid;
           instr_scale = scale;
           clock = 0;
-          pend = P_none;
-          act = A_start;
           cont = None;
           finished = false;
           crashed = false;
@@ -590,58 +578,6 @@ end
 (* Scheduler                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Binary min-heap of thread ids keyed by thread clocks (ties by tid for
-   determinism). *)
-module Heap = struct
-  type h = { mutable a : int array; mutable n : int; key : int -> int }
-
-  let create cap key = { a = Array.make (max cap 1) 0; n = 0; key }
-  let less h x y = h.key x < h.key y || (h.key x = h.key y && x < y)
-
-  let push h x =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (2 * h.n) 0 in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- x;
-    h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && less h h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    assert (h.n > 0);
-    let top = h.a.(0) in
-    h.n <- h.n - 1;
-    if h.n > 0 then begin
-      h.a.(0) <- h.a.(h.n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < h.n && less h h.a.(l) h.a.(!s) then s := l;
-        if r < h.n && less h h.a.(r) h.a.(!s) then s := r;
-        if !s = !i then continue := false
-        else begin
-          let tmp = h.a.(!s) in
-          h.a.(!s) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !s
-        end
-      done
-    end;
-    top
-
-  let is_empty h = h.n = 0
-end
-
 (** Wraps any exception escaping a simulated thread body: carries the
     tid, the original exception and its backtrace, so harness oracles
     can attribute the failure. *)
@@ -652,19 +588,24 @@ exception Thread_failure of int * exn * string
     for a given seed.  Returns the largest thread clock (the makespan, in
     cycles).
 
-    Without [scheduler], threads are resumed smallest-clock-first (plus
-    optional jitter folded into access costs) — the free-running hardware
-    model.  With [scheduler], every resume decision is delegated to it:
-    the callback sees the {!runnable} set with each thread's next
-    {!action} and picks the thread to resume, which makes the simulator
-    a controlled concurrency tester (see [Ascy_sct]).  The [runnable]
-    record passed to the callback is {e reused} across decisions — the
+    One loop takes every decision: it lists the {!runnable} set (live,
+    not crashed, not stalled; ascending tid) and asks a chooser which
+    thread to resume.  [scheduler] is that chooser when given, which
+    makes the simulator a controlled concurrency tester (see
+    [Ascy_sct]): the callback sees each runnable thread's next {!action}
+    and must return one of the listed tids.  Without [scheduler] the
+    chooser is the clock: the runnable thread with the smallest
+    [(clock, tid)] is resumed — the free-running hardware model, with
+    optional jitter folded into access costs.  The [runnable] record
+    passed to the callback is {e reused} across decisions — the
     per-decision hot path allocates nothing — so schedulers must copy
     ({!runnable_copy}) anything they retain past the callback.
 
     [faults] injects {!fault_event}s keyed by decision index (see
-    {!decisions}); with an empty plan both scheduling modes behave
-    bit-for-bit as before. *)
+    {!decisions}).  Due faults are applied as a pre-step before each
+    decision, whichever chooser is in force; when every live thread is
+    stalled the decision counter jumps to the earliest expiry.  An empty
+    plan skips the pre-step entirely. *)
 let run ?scheduler ?(faults = []) sim bodies =
   if Array.length bodies <> sim.nthreads then invalid_arg "Sim.run: wrong number of bodies";
   (match !(current ()) with
@@ -673,8 +614,6 @@ let run ?scheduler ?(faults = []) sim bodies =
   Array.iter
     (fun th ->
       th.clock <- 0;
-      th.pend <- P_none;
-      th.act <- A_start;
       th.cont <- None;
       th.finished <- false;
       th.crashed <- false;
@@ -697,6 +636,14 @@ let run ?scheduler ?(faults = []) sim bodies =
           if fe.fe_tid < 0 || fe.fe_tid >= sim.plat.P.sockets then
             invalid_arg "Sim.run: fault targets an unknown socket")
     faults;
+  (* One runnable record serves every decision of the run.  Its
+     [r_acts] is indexed by tid and written once per performed effect:
+     it is both the scheduler's lookahead and the step the thread
+     commits when next resumed, and listing the runnable set at a
+     decision stores only ints. *)
+  let runnable =
+    { Simtypes.rn = 0; r_tids = Array.make sim.nthreads 0; r_acts = Array.make sim.nthreads A_start }
+  in
   let handler : (unit, step) Effect.Deep.handler =
     {
       retc = (fun () -> Finished);
@@ -708,24 +655,21 @@ let run ?scheduler ?(faults = []) sim bodies =
               Some
                 (fun (k : (a, step) Effect.Deep.continuation) ->
                   let th = sim.threads.(sim.cur) in
-                  th.pend <- P_access (kind, line);
-                  th.act <- A_access (kind, line);
+                  runnable.r_acts.(th.tid) <- A_access (kind, line);
                   th.cont <- Some k;
                   Blocked)
           | Work_eff n ->
               Some
                 (fun (k : (a, step) Effect.Deep.continuation) ->
                   let th = sim.threads.(sim.cur) in
-                  th.pend <- P_work n;
-                  th.act <- A_work n;
+                  runnable.r_acts.(th.tid) <- A_work n;
                   th.cont <- Some k;
                   Blocked)
           | Kcas_eff lines ->
               Some
                 (fun (k : (a, step) Effect.Deep.continuation) ->
                   let th = sim.threads.(sim.cur) in
-                  th.pend <- P_kcas lines;
-                  th.act <- A_kcas lines;
+                  runnable.r_acts.(th.tid) <- A_kcas lines;
                   th.cont <- Some k;
                   Blocked)
           | _ -> None);
@@ -734,8 +678,8 @@ let run ?scheduler ?(faults = []) sim bodies =
   let fresh = Array.map (fun b -> Some b) bodies in
   sim.live <- sim.nthreads;
   let makespan = ref 0 in
-  (* Resume [tid]: commit its pending access (charging latency), run it
-     to its next effect, and record completion.  Returns the step kind. *)
+  (* Resume [tid]: commit its pending action (charging latency), run it
+     to its next effect, and record completion. *)
   let exec_step tid =
     let th = sim.threads.(tid) in
     sim.cur <- tid;
@@ -747,11 +691,11 @@ let run ?scheduler ?(faults = []) sim bodies =
           (try Effect.Deep.match_with body () handler
            with e -> raise (Thread_failure (tid, e, Printexc.get_backtrace ())))
       | None -> (
-          (* commit the pending access, charge its latency, resume *)
-          (match th.pend with
-          | P_access (kind, line) -> th.clock <- th.clock + access_cost sim th kind line
-          | P_work n -> th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale)
-          | P_kcas lines ->
+          (* commit the pending action, charge its latency, resume *)
+          (match runnable.r_acts.(tid) with
+          | A_access (kind, line) -> th.clock <- th.clock + access_cost sim th kind line
+          | A_work n -> th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale)
+          | A_kcas lines ->
               (* one atomic commit, but every touched line pays its own
                  RMW coherence cost under the installed model; the
                  observer hears each access/outcome pair from the commit
@@ -759,8 +703,7 @@ let run ?scheduler ?(faults = []) sim bodies =
               Array.iter
                 (fun line -> th.clock <- th.clock + access_cost ~notify:false sim th Rmw line)
                 lines
-          | P_none -> ());
-          th.pend <- P_none;
+          | A_start -> ());
           match th.cont with
           | Some k ->
               th.cont <- None;
@@ -774,8 +717,7 @@ let run ?scheduler ?(faults = []) sim bodies =
         sim.live <- sim.live - 1;
         if th.clock > !makespan then makespan := th.clock
     | Blocked -> ());
-    sim.cur <- -1;
-    step
+    sim.cur <- -1
   in
   (* Crash-stop [tid]: it never runs again.  A parked continuation is
      discontinued with {!Thread_killed} so wrapping test code can clean
@@ -787,7 +729,6 @@ let run ?scheduler ?(faults = []) sim bodies =
     let th = sim.threads.(tid) in
     if not (th.finished || th.crashed) then begin
       th.crashed <- true;
-      th.pend <- P_none;
       sim.live <- sim.live - 1;
       sim.crashed_tids <- tid :: sim.crashed_tids;
       fresh.(tid) <- None;
@@ -832,106 +773,55 @@ let run ?scheduler ?(faults = []) sim bodies =
     in
     go ()
   in
-  (match scheduler with
-  | None when not sim.any_fault ->
-      let heap = Heap.create sim.nthreads (fun tid -> sim.threads.(tid).clock) in
+  (* The free-running chooser: the smallest [(clock, tid)].  Runnable
+     tids are ascending, so a strict [<] keeps the lowest tid on ties. *)
+  let by_clock r =
+    let best = ref r.Simtypes.r_tids.(0) in
+    let best_clock = ref sim.threads.(!best).clock in
+    for i = 1 to r.rn - 1 do
+      let tid = r.r_tids.(i) in
+      let clock = sim.threads.(tid).clock in
+      if clock < !best_clock then begin
+        best := tid;
+        best_clock := clock
+      end
+    done;
+    !best
+  in
+  let choose = match scheduler with Some choose -> choose | None -> by_clock in
+  while sim.live > 0 do
+    if sim.any_fault then apply_due_faults ();
+    if sim.live > 0 then begin
+      let n = ref 0 in
       for tid = 0 to sim.nthreads - 1 do
-        Heap.push heap tid
+        let th = sim.threads.(tid) in
+        if (not th.finished) && (not th.crashed) && th.stalled_until <= sim.decisions then begin
+          runnable.r_tids.(!n) <- tid;
+          incr n
+        end
       done;
-      while not (Heap.is_empty heap) do
-        let tid = Heap.pop heap in
-        match exec_step tid with Finished -> () | Blocked -> Heap.push heap tid
-      done
-  | None ->
-      (* Fault-aware free-running loop.  Stalled threads park on a
-         waiting list instead of the clock heap; crashed threads are
-         dropped wherever they surface.  When every live thread is
-         stalled, the decision counter fast-forwards to the earliest
-         expiry (nothing else can make progress in between). *)
-      let heap = Heap.create sim.nthreads (fun tid -> sim.threads.(tid).clock) in
-      for tid = 0 to sim.nthreads - 1 do
-        Heap.push heap tid
-      done;
-      let waiting = ref [] in
-      let release_expired () =
-        let still, ready =
-          List.partition
-            (fun tid ->
-              let th = sim.threads.(tid) in
-              (not th.crashed) && th.stalled_until > sim.decisions)
-            !waiting
-        in
-        waiting := still;
-        List.iter (fun tid -> if not sim.threads.(tid).crashed then Heap.push heap tid) ready
-      in
-      let running = ref true in
-      while !running do
-        apply_due_faults ();
-        release_expired ();
-        if Heap.is_empty heap then
-          match !waiting with
-          | [] -> running := false
-          | w ->
-              let wake =
-                List.fold_left (fun acc tid -> min acc sim.threads.(tid).stalled_until) max_int w
-              in
-              sim.decisions <- max sim.decisions wake
-        else begin
-          let tid = Heap.pop heap in
+      runnable.rn <- !n;
+      if !n = 0 then begin
+        (* every live thread is stalled: jump to the earliest expiry *)
+        let wake = ref max_int in
+        for tid = 0 to sim.nthreads - 1 do
           let th = sim.threads.(tid) in
-          if th.crashed then ()
-          else if th.stalled_until > sim.decisions then waiting := tid :: !waiting
-          else match exec_step tid with Finished -> () | Blocked -> Heap.push heap tid
-        end
-      done
-  | Some choose ->
-      (* Controlled loop.  One runnable record is reused for every
-         decision: refilling it is plain stores into preallocated
-         arrays, and each thread's lookahead action was cached on the
-         thread when its effect was performed, so the decision hot path
-         allocates nothing. *)
-      let runnable =
-        {
-          Simtypes.rn = 0;
-          r_tids = Array.make sim.nthreads 0;
-          r_acts = Array.make sim.nthreads A_start;
-        }
-      in
-      while sim.live > 0 do
-        if sim.any_fault then apply_due_faults ();
-        if sim.live > 0 then begin
-          let n = ref 0 in
-          for tid = 0 to sim.nthreads - 1 do
-            let th = sim.threads.(tid) in
-            if (not th.finished) && (not th.crashed) && th.stalled_until <= sim.decisions
-            then begin
-              runnable.r_tids.(!n) <- tid;
-              runnable.r_acts.(!n) <- (if fresh.(tid) <> None then A_start else th.act);
-              incr n
-            end
-          done;
-          runnable.rn <- !n;
-          if !n = 0 then begin
-            (* every live thread is stalled: jump to the earliest expiry *)
-            let wake = ref max_int in
-            for tid = 0 to sim.nthreads - 1 do
-              let th = sim.threads.(tid) in
-              if (not th.finished) && (not th.crashed) && th.stalled_until < !wake then
-                wake := th.stalled_until
-            done;
-            sim.decisions <- max sim.decisions !wake
-          end
-          else begin
-            let tid = choose runnable in
-            if
-              tid < 0 || tid >= sim.nthreads || sim.threads.(tid).finished
-              || sim.threads.(tid).crashed
-            then
-              invalid_arg (Printf.sprintf "Sim.run: scheduler chose non-runnable thread %d" tid);
-            ignore (exec_step tid)
-          end
-        end
-      done);
+          if (not th.finished) && (not th.crashed) && th.stalled_until < !wake then
+            wake := th.stalled_until
+        done;
+        sim.decisions <- max sim.decisions !wake
+      end
+      else begin
+        let tid = choose runnable in
+        if
+          tid < 0 || tid >= sim.nthreads || sim.threads.(tid).finished
+          || sim.threads.(tid).crashed
+          || sim.threads.(tid).stalled_until > sim.decisions
+        then invalid_arg (Printf.sprintf "Sim.run: scheduler chose non-runnable thread %d" tid);
+        exec_step tid
+      end
+    end
+  done;
   sim.cur <- -1;
   !makespan
 

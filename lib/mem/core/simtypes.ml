@@ -43,17 +43,21 @@ let dependent a b =
   | A_kcas ls1, A_kcas ls2 -> Array.exists (kcas_touches ls1) ls2
   | _ -> false
 
-(** The runnable-thread set presented to a controlled scheduler at one
-    decision point: the first [rn] slots of [r_tids]/[r_acts] hold the
-    runnable thread ids (ascending) and their next actions.  The
-    simulator reuses one [runnable] record across every decision of a
-    run — the per-decision hot path allocates nothing — so schedulers
-    must not retain it; callers that need a snapshot (the SCT explorer
-    keeps one per DFS node) use {!runnable_copy}. *)
+(** The runnable-thread set presented to a scheduler at one decision
+    point: the first [rn] slots of [r_tids] hold the runnable thread ids
+    (ascending), and [r_acts] holds every thread's next action indexed
+    by {e tid} (the simulator writes a thread's slot once, when it
+    performs its effect, so listing the set stores only ints).  Read
+    both through {!runnable_tid} / {!runnable_action}, which take a
+    position in the set.  The simulator reuses one [runnable] record
+    across every decision of a run — the per-decision hot path
+    allocates nothing — so schedulers must not retain it; callers that
+    need a snapshot (the SCT explorer keeps one per DFS node) use
+    {!runnable_copy}. *)
 type runnable = {
-  mutable rn : int;  (** live slots; only indices [0..rn-1] are valid *)
+  mutable rn : int;  (** live slots of [r_tids]; only indices [0..rn-1] are valid *)
   r_tids : int array;
-  r_acts : action array;
+  r_acts : action array;  (** indexed by tid, not by position *)
 }
 
 let runnable_count r = r.rn
@@ -64,24 +68,26 @@ let runnable_tid r i =
 
 let runnable_action r i =
   if i < 0 || i >= r.rn then invalid_arg "runnable_action: index out of range";
-  r.r_acts.(i)
+  r.r_acts.(r.r_tids.(i))
 
 (** Index of [tid] among the runnable threads, or [-1]. *)
 let runnable_find r tid =
   let rec go i = if i >= r.rn then -1 else if r.r_tids.(i) = tid then i else go (i + 1) in
   go 0
 
-(** A detached snapshot (arrays sized exactly [rn]), safe to retain
-    after the decision returns. *)
+(** A detached snapshot, safe to retain after the decision returns:
+    the [rn] runnable tids and the whole per-tid action array (actions
+    are immutable, so sharing them is safe). *)
 let runnable_copy r =
-  { rn = r.rn; r_tids = Array.sub r.r_tids 0 r.rn; r_acts = Array.sub r.r_acts 0 r.rn }
+  { rn = r.rn; r_tids = Array.sub r.r_tids 0 r.rn; r_acts = Array.copy r.r_acts }
 
 (** A controlled scheduler: given the runnable threads, return the tid
     to resume.  Called at every resume-decision point of [Sim.run];
-    choosing a tid not in the set is an error.  The default (no
-    scheduler) policy resumes the thread with the smallest local clock,
-    which models free-running hardware; a controlled scheduler instead
-    explores or replays a specific interleaving. *)
+    choosing a tid not in the set (finished, crashed or stalled) is an
+    error.  The default (no scheduler) chooser resumes the thread with
+    the smallest local clock, which models free-running hardware; a
+    controlled scheduler instead explores or replays a specific
+    interleaving. *)
 type scheduler = runnable -> int
 
 (* ------------------------------------------------------------------ *)

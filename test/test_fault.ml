@@ -80,6 +80,31 @@ let test_all_stalled_fast_forward () =
       Alcotest.(check bool) "decisions jumped past the stall window" true
         (Sim.decisions sim > 500))
 
+(* A controlled scheduler may only resume a listed thread: choosing one
+   inside its stall window is rejected, never a silent un-stall.  The
+   scheduler insists on tid 1 until it finishes, so skipping the stall
+   would let the whole run complete without an error. *)
+let test_scheduler_cannot_resume_stalled () =
+  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+      let done_ = Array.make 2 false in
+      let body tid () =
+        for _ = 1 to 5 do
+          SMem.work 2
+        done;
+        done_.(tid) <- true
+      in
+      let sched runnable = if done_.(1) then Sim.runnable_tid runnable 0 else 1 in
+      let raised =
+        try
+          ignore
+            (Sim.run ~scheduler:sched
+               ~faults:[ stall ~at:0 ~decisions:100 1 ]
+               sim (Array.init 2 body));
+          false
+        with Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "choosing a stalled thread is rejected" true raised)
+
 (* Transient NUMA slowdown: same schedule shape, strictly larger makespan. *)
 let test_numa_slow_costs () =
   let run faults =
@@ -405,6 +430,8 @@ let suite =
     Alcotest.test_case "crash stops a thread" `Quick test_crash_stops_thread;
     Alcotest.test_case "stall delays a thread" `Quick test_stall_delays_thread;
     Alcotest.test_case "all-stalled fast-forward" `Quick test_all_stalled_fast_forward;
+    Alcotest.test_case "scheduler cannot resume a stalled thread" `Quick
+      test_scheduler_cannot_resume_stalled;
     Alcotest.test_case "numa slowdown costs cycles" `Quick test_numa_slow_costs;
     Alcotest.test_case "unknown fault target rejected" `Quick test_fault_unknown_target_rejected;
     Alcotest.test_case "ttas holder crash wedges survivors" `Quick test_ttas_holder_crash;

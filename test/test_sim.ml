@@ -6,8 +6,8 @@ module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 
-let run_counter ~platform ~nthreads ~increments =
-  Sim.with_sim ~seed:11 ~platform ~nthreads (fun sim ->
+let run_counter ?(jitter = 0) ?(faults = []) ~platform ~nthreads ~increments () =
+  Sim.with_sim ~seed:11 ~jitter ~platform ~nthreads (fun sim ->
       let c = Mem.make_fresh 0 in
       let body _ () =
         for _ = 1 to increments do
@@ -18,21 +18,21 @@ let run_counter ~platform ~nthreads ~increments =
           cas_incr ()
         done
       in
-      let makespan = Sim.run sim (Array.init nthreads body) in
-      (Mem.get c, makespan, Sim.stats sim ~makespan))
+      let makespan = Sim.run ~faults sim (Array.init nthreads body) in
+      (Mem.get c, makespan, Sim.stats sim ~makespan, sim))
 
 let test_atomic_counter () =
-  let v, _, _ = run_counter ~platform:P.xeon20 ~nthreads:8 ~increments:500 in
+  let v, _, _, _ = run_counter ~platform:P.xeon20 ~nthreads:8 ~increments:500 () in
   Alcotest.(check int) "no lost updates" 4000 v
 
 let test_determinism () =
-  let _, m1, _ = run_counter ~platform:P.xeon20 ~nthreads:4 ~increments:200 in
-  let _, m2, _ = run_counter ~platform:P.xeon20 ~nthreads:4 ~increments:200 in
+  let _, m1, _, _ = run_counter ~platform:P.xeon20 ~nthreads:4 ~increments:200 () in
+  let _, m2, _, _ = run_counter ~platform:P.xeon20 ~nthreads:4 ~increments:200 () in
   Alcotest.(check int) "same seed, same makespan" m1 m2
 
 let test_contention_slows_down () =
-  let _, m1, _ = run_counter ~platform:P.xeon20 ~nthreads:1 ~increments:1000 in
-  let _, m8, _ = run_counter ~platform:P.xeon20 ~nthreads:8 ~increments:1000 in
+  let _, m1, _, _ = run_counter ~platform:P.xeon20 ~nthreads:1 ~increments:1000 () in
+  let _, m8, _, _ = run_counter ~platform:P.xeon20 ~nthreads:8 ~increments:1000 () in
   (* contended CAS loop must cost more per op than uncontended *)
   Alcotest.(check bool) "contention increases makespan" true (m8 > m1 * 2)
 
@@ -126,6 +126,44 @@ let test_thread_failure_propagates () =
             ignore (Sim.run sim (Array.init 2 body)))
       with Sim.Thread_failure (_, e, _) -> raise e)
 
+(* Pinned free-running runs: exact makespan, decision count, access and
+   transfer counters and crash list of three smallest-clock-first runs
+   (contended and jittered; under a mixed fault plan; with every thread
+   stalled at once, forcing fast-forwards).  The expected values are a
+   behavioural contract of the default scheduling policy: any change to
+   how [Sim.run] picks the next thread, applies faults or skips stalls
+   shows up here. *)
+let pinned_counter ?jitter ?faults ~nthreads ~increments () =
+  let _, makespan, st, sim =
+    run_counter ?jitter ?faults ~platform:P.xeon20 ~nthreads ~increments ()
+  in
+  ( [ makespan; Sim.decisions sim; st.Sim.accesses; st.Sim.transfers_local; st.Sim.transfers_remote ],
+    Sim.crashed_tids sim )
+
+let check_pinned name (got, got_crashed) (want, want_crashed) =
+  Alcotest.(check (list int)) (name ^ ": makespan/decisions/accesses/transfers") want got;
+  Alcotest.(check (list int)) (name ^ ": crashed tids") want_crashed got_crashed
+
+let test_free_running_pinned () =
+  let fault at tid f = { Sim.fe_at = at; fe_tid = tid; fe_fault = f } in
+  check_pinned "contended, jitter 2"
+    (pinned_counter ~jitter:2 ~nthreads:20 ~increments:40 ())
+    ([ 58030; 9404; 9384; 2519; 2165 ], []);
+  check_pinned "crash + stall + numa-slow"
+    (pinned_counter ~nthreads:20 ~increments:40
+       ~faults:
+         [
+           fault 50 1 (Sim.F_numa_slow { factor = 4.0; window = 600 });
+           fault 300 12 (Sim.F_stall 2000);
+           fault 700 7 Sim.F_crash;
+         ]
+       ())
+    ([ 54710; 7766; 7746; 2047; 1780 ], [ 7 ]);
+  check_pinned "every thread stalled at once"
+    (pinned_counter ~nthreads:4 ~increments:30
+       ~faults:(List.init 4 (fun tid -> fault 20 tid (Sim.F_stall (500 + (200 * tid))))) ())
+    ([ 1396; 1179; 254; 10; 0 ], [])
+
 let suite =
   [
     Alcotest.test_case "simulated CAS counter is atomic" `Quick test_atomic_counter;
@@ -138,4 +176,5 @@ let suite =
     Alcotest.test_case "SMT issue sharing on T4-4" `Quick test_smt_scaling_t44;
     Alcotest.test_case "work() advances the clock" `Quick test_work_charges_cycles;
     Alcotest.test_case "thread exceptions propagate" `Quick test_thread_failure_propagates;
+    Alcotest.test_case "free-running runs are pinned" `Quick test_free_running_pinned;
   ]
