@@ -25,7 +25,7 @@ let mode =
    sweep into a fast functional smoke test of the whole harness. *)
 let model =
   match Sys.getenv_opt "ASCY_BENCH_MODEL" with
-  | Some m -> Ascy_mem.Sim.model_of_name m
+  | Some m -> Ascy_mem.Models.by_name_or_exit ~prog:"bench" m
   | None -> Ascy_mem.Sim.default_model
 
 let scale n = match mode with Quick -> max 1 (n / 8) | Default -> n | Full -> n * 4

@@ -28,7 +28,7 @@ let () =
         out_dir := d;
         parse rest
     | "-model" :: m :: rest ->
-        model := Ascy_mem.Sim.model_of_name m;
+        model := Ascy_mem.Models.by_name_or_exit ~prog:"ascy_analyze" m;
         parse rest
     | ("-h" | "-help" | "--help") :: _ ->
         print_endline "usage: ascy_analyze [-out DIR] [-model NAME] [NAME ...]";

@@ -37,7 +37,7 @@ let () =
         watchdog := int_of_string n;
         parse rest
     | "-model" :: m :: rest ->
-        model := Ascy_mem.Sim.model_of_name m;
+        model := Ascy_mem.Models.by_name_or_exit ~prog:"ascy_chaos" m;
         parse rest
     | ("-h" | "-help" | "--help") :: _ ->
         print_endline "usage: ascy_chaos [-out DIR] [-watchdog N] [-model NAME] [NAME ...]";

@@ -108,6 +108,7 @@ let () =
     | name :: rest -> names := name :: !names; parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let model = Ascy_mem.Models.by_name_or_exit ~prog:"ascy_explore" !model_name in
   if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
   let entries =
     match (!names, !smoke) with
@@ -115,7 +116,6 @@ let () =
     | [], true -> List.map Registry.by_name smoke_set
     | names, _ -> List.map Registry.by_name (List.rev names)
   in
-  let model = Sim.model_of_name !model_name in
   let policy_of_name = function
     | "exhaustive" -> Explorer.Exhaustive
     | "random" -> Explorer.Random { seed = !seed; schedules = !budget }

@@ -117,7 +117,7 @@ let () =
     | [] -> Scenario.matrix !scale
     | names -> List.map (Scenario.by_name !scale) (List.rev names)
   in
-  let model_v = Sim.model_of_name !model in
+  let model_v = Ascy_mem.Models.by_name_or_exit ~prog:"ascy_serve" !model in
   if !resil then begin
     (* Resilience fault matrix: every queue-layer fault plan crossed with
        a restart-free scenario and the rolling-restart one (message

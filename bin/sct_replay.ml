@@ -63,14 +63,16 @@ let () =
         exit 2
   in
   (* dispatch on schema: a fault plan means a chaos (Fault_run) file *)
-  (match Ascy_sct.Replay.load path with
+  (match
+     let _, faults, meta = Ascy_sct.Replay.load path in
+     (faults, Ascy_harness.Engine.model_of_meta meta)
+   with
   | exception Ascy_sct.Replay.Bad_schedule msg ->
       Printf.eprintf "error: bad schedule file %s: %s\n" path msg;
       exit 1
-  | _, faults, meta ->
+  | faults, model ->
       (* replays re-arm the recorded coherence model; say so when it is
          not the default *)
-      let model = Ascy_harness.Engine.model_of_meta meta in
       let mn = Ascy_mem.Sim.model_name_of model in
       if mn <> Ascy_mem.Sim.model_name_of Ascy_mem.Sim.default_model then
         Printf.printf "coherence model: %s (recorded in replay file)\n" mn;

@@ -116,11 +116,13 @@ let model_key = "model"
     files written before models existed (and files found under the
     default) stay byte-identical. *)
 let model_meta model =
-  if Sim.model_name_of model == Sim.model_name_of Sim.default_model then []
+  if String.equal (Sim.model_name_of model) (Sim.model_name_of Sim.default_model) then []
   else [ (model_key, Ascy_util.Json.String (Sim.model_name_of model)) ]
 
-(** The model a replay file's metadata selects (default when absent). *)
+(** The model a replay file's metadata selects (default when absent).
+    Raises {!Ascy_sct.Replay.Bad_schedule} on a name no model has. *)
 let model_of_meta meta =
   match List.assoc_opt model_key meta with
-  | Some (Ascy_util.Json.String s) -> Sim.model_of_name s
+  | Some (Ascy_util.Json.String s) -> (
+      try Sim.model_of_name s with Invalid_argument msg -> raise (Ascy_sct.Replay.Bad_schedule msg))
   | _ -> Sim.default_model

@@ -7,15 +7,15 @@
     charges the access a latency taken from the installed coherence
     model ({!Cohmodel.S}):
 
-    - {!Coh_mesi} (default): a MESI-like inclusive-LLC directory model —
-      per-core private caches, per-socket LLCs, a directory per line
-      tracking owner and sharer set, with costs for private hits, local
-      LLC hits, in-socket and cross-socket dirty-line transfers, remote
-      clean fetches and DRAM;
+    - {!Coh_dir}: one directory model — per-core private caches,
+      per-socket LLCs, a directory per line tracking owner and sharer
+      set, with costs for private hits, local LLC hits, in-socket and
+      cross-socket dirty-line transfers, remote clean fetches and DRAM —
+      instantiated as ["mesi"] (inclusive LLC, the default) and
+      ["moesi"] (Opteron-style victim LLC with an Owned state, for
+      cross-platform shape reproduction);
     - {!Coh_flat}: O(1) uniform cost, for SCT/analysis runs where timing
-      fidelity is irrelevant;
-    - {!Coh_moesi}: an Opteron-style non-inclusive/Owned-state variant
-      for cross-platform shape reproduction.
+      fidelity is irrelevant.
 
     The MESI model captures exactly the mechanism the paper identifies
     as the scalability limiter — stores to shared lines invalidate

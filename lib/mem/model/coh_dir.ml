@@ -1,0 +1,221 @@
+(** The directory coherence model: one line/tag state and one access
+    state machine, which {!Models} instantiates twice as {!Cohmodel.S}
+    values — ["mesi"], the inclusive-LLC default, and ["moesi"], the
+    Opteron-style victim LLC.  The two differ in the {!t.victim} rule
+    only.
+
+    State:
+    - a per-core direct-mapped private cache (tag array sized like
+      L1+L2),
+    - a per-socket direct-mapped LLC tag array,
+    - a directory per line tracking the owning core (modified state) and
+      the sharer set.
+
+    Costs: private hits, local LLC hits, in-socket and cross-socket
+    dirty-line transfers, remote clean fetches and DRAM — exactly the
+    mechanism the paper identifies as the scalability limiter (stores to
+    shared lines invalidate copies and turn other threads' future loads
+    into coherence misses).  Latency constants come from the platform
+    record; the model decides {e which} class an access falls in. *)
+
+module P = Ascy_platform.Platform
+module Bits = Ascy_util.Bits
+module Vec = Ascy_util.Vec
+open Simtypes
+
+type line_state = { mutable owner : int; sharers : Bits.t }
+
+type t = {
+  victim : bool;
+    (** [false]: an inclusive LLC (MESI).  A fetch fills the local LLC, a
+        read of a dirty line demotes the owner to a sharer, and a write
+        fills the writer's LLC.
+
+        [true]: an Opteron-style MOESI protocol with a non-inclusive
+        victim LLC, for reproducing the paper's cross-platform {e shape}
+        differences.  Three mechanisms distinguish the Opteron from the
+        inclusive-LLC Xeons in the paper's measurements:
+
+        - {b Owned state}: a read of a line that is dirty in another
+          core's cache is served cache-to-cache, but the owner {e keeps}
+          the line (state O) instead of demoting to shared-clean.  The
+          next write by the owner is a private hit again — but every
+          other core's read keeps paying the transfer, so reader/writer
+          sharing stays expensive for the readers (the paper's "loads of
+          an Owned line are serviced from the remote cache").
+        - {b Non-inclusive victim LLC}: the LLC is filled by private-cache
+          {e evictions}, not by fetches.  A clean line read from DRAM or a
+          remote socket does not get a local LLC backing copy, so
+          re-fetches after private eviction keep paying the long path —
+          the directory-less HT broadcast behavior that makes the
+          Opteron's uncontended latencies worse and its cross-socket
+          sharing costs flatter than the Xeons'.  Writes invalidate every
+          LLC copy (the only valid copy is the writer's private one), so a
+          subsequent remote read is a c2c transfer, never a stale LLC hit.
+        - {b HT-priced upgrades}: without an inclusive directory the
+          invalidation of an upgrade is an HT broadcast probe,
+          remote-priced whenever any remote cache — another socket's LLC
+          included — could hold a copy. *)
+  plat : P.t;
+  lines : line_state Vec.t;
+  priv : int array array; (* per-core direct-mapped private-cache tags *)
+  priv_mask : int;
+  llc_tags : int array array; (* per-socket LLC tags *)
+  llc_mask : int;
+}
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+let dummy_line = { owner = -1; sharers = Bits.create 1 }
+
+let create ~victim ~platform =
+  let priv_slots = pow2_at_least (min platform.P.l1_lines 16384) 64 in
+  let llc_slots = pow2_at_least (min platform.P.llc_lines 524288) 1024 in
+  {
+    victim;
+    plat = platform;
+    lines = Vec.create ~capacity:4096 dummy_line;
+    priv = Array.init platform.P.cores (fun _ -> Array.make priv_slots (-1));
+    priv_mask = priv_slots - 1;
+    llc_tags = Array.init platform.P.sockets (fun _ -> Array.make llc_slots (-1));
+    llc_mask = llc_slots - 1;
+  }
+
+let on_new_line t _id = Vec.push t.lines { owner = -1; sharers = Bits.create t.plat.P.cores }
+
+let em = P.energy_model
+
+let in_priv t core line = t.priv.(core).(line land t.priv_mask) = line
+let install_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) <- line
+let in_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) = line
+
+let in_remote_llc t socket line =
+  let remote = ref false in
+  for os = 0 to t.plat.P.sockets - 1 do
+    if os <> socket && in_llc t os line then remote := true
+  done;
+  !remote
+
+(* Install [line] in [core]'s private cache, evicting (and de-registering)
+   whatever direct-mapped slot it lands on.  A victim LLC is filled here —
+   the only way it is filled outside [warm]. *)
+let install_priv t core socket line =
+  let slot = line land t.priv_mask in
+  let old = t.priv.(core).(slot) in
+  if old >= 0 && old <> line then begin
+    let ols = Vec.get t.lines old in
+    Bits.remove ols.sharers core;
+    if ols.owner = core then ols.owner <- -1 (* writeback *);
+    if t.victim then install_llc t socket old
+  end;
+  t.priv.(core).(slot) <- line
+
+(* A fetched or written line backs into the local LLC only when it is
+   inclusive. *)
+let fill t socket line = if not t.victim then install_llc t socket line
+
+(* Count one access of [kind] served from [cls], charge its energy and
+   return its latency (with any atomic surcharge) and class.  An
+   LLC-served write is an upgrade: an invalidation round, priced like a
+   transfer.  Inlined at every call site, where [cls] is a constant, so
+   the dispatch on it folds away. *)
+let[@inline] serve p cnt kind cls =
+  cnt.energy_nj <-
+    (cnt.energy_nj
+    +.
+    match cls with
+    | Tc_l1 -> em.P.nj_l1
+    | Tc_llc -> ( match kind with Read -> em.P.nj_llc | Write | Rmw -> em.P.nj_transfer)
+    | Tc_c2c_local | Tc_c2c_remote | Tc_llc_remote -> em.P.nj_transfer
+    | Tc_mem -> em.P.nj_mem);
+  let lat =
+    match cls with
+    | Tc_l1 -> cnt.l1 <- cnt.l1 + 1; p.P.c_l1
+    | Tc_llc -> cnt.llc <- cnt.llc + 1; p.P.c_llc
+    | Tc_c2c_local -> cnt.c2c_local <- cnt.c2c_local + 1; p.P.c_c2c_local
+    | Tc_c2c_remote -> cnt.c2c_remote <- cnt.c2c_remote + 1; p.P.c_c2c_remote
+    | Tc_llc_remote -> cnt.llc_remote <- cnt.llc_remote + 1; p.P.c_llc_remote
+    | Tc_mem -> cnt.mem <- cnt.mem + 1; p.P.c_mem
+  in
+  match kind with
+  | Rmw ->
+      cnt.rmw <- cnt.rmw + 1;
+      (lat + p.P.c_atomic, cls)
+  | Read | Write -> (lat, cls)
+
+(* A transfer of a line dirty in [owner]'s cache. *)
+let[@inline] c2c p cnt kind socket owner =
+  if owner / P.cores_per_socket p = socket then serve p cnt kind Tc_c2c_local
+  else serve p cnt kind Tc_c2c_remote
+
+let access t cnt ~core:c ~socket:s kind line =
+  let p = t.plat in
+  let ls = Vec.get t.lines line in
+  match kind with
+  | Read when in_priv t c line && (ls.owner = c || Bits.mem ls.sharers c) -> serve p cnt kind Tc_l1
+  | Read ->
+      let served =
+        if ls.owner >= 0 then begin
+          (* dirty elsewhere: cache-to-cache transfer; the owner demotes,
+             or keeps the line Owned *)
+          let served = c2c p cnt kind s ls.owner in
+          if not t.victim then begin
+            Bits.add ls.sharers ls.owner;
+            ls.owner <- -1
+          end;
+          served
+        end
+        else if in_llc t s line then serve p cnt kind Tc_llc
+        else if in_remote_llc t s line then serve p cnt kind Tc_llc_remote
+        else serve p cnt kind Tc_mem
+      in
+      Bits.add ls.sharers c;
+      install_priv t c s line;
+      fill t s line;
+      served
+  | Write | Rmw ->
+      let served =
+        if ls.owner = c && in_priv t c line then serve p cnt kind Tc_l1
+        else if ls.owner >= 0 then c2c p cnt kind s ls.owner
+        else if not (Bits.is_empty ls.sharers) || in_llc t s line then
+          (* upgrade: invalidate sharers; pay more if any are remote *)
+          if
+            Bits.exists (fun core -> core / P.cores_per_socket p <> s) ls.sharers
+            || (t.victim && in_remote_llc t s line)
+          then serve p cnt kind Tc_llc_remote
+          else serve p cnt kind Tc_llc
+        else serve p cnt kind Tc_mem
+      in
+      (* Invalidate every other copy; this write owns the line. *)
+      Bits.clear ls.sharers;
+      ls.owner <- c;
+      install_priv t c s line;
+      if t.victim then
+        for os = 0 to p.P.sockets - 1 do
+          if in_llc t os line then t.llc_tags.(os).(line land t.llc_mask) <- -1
+        done
+      else install_llc t s line;
+      served
+
+let txn_conflict t ~core line =
+  let ls = Vec.get t.lines line in
+  ls.owner >= 0 && ls.owner <> core
+
+let txn_line_cost t ~core line = if in_priv t core line then t.plat.P.c_l1 else t.plat.P.c_llc
+
+let txn_commit t ~core ~socket line =
+  let ls = Vec.get t.lines line in
+  Bits.clear ls.sharers;
+  ls.owner <- core;
+  install_priv t core socket line;
+  fill t socket line
+
+(* Install every allocated line into every socket's LLC: first accesses
+   pay LLC latency, not DRAM, and private caches still start cold (a
+   victim LLC has absorbed a long run's evictions by then). *)
+let warm t ~nlines =
+  for line = 0 to nlines - 1 do
+    for s = 0 to t.plat.P.sockets - 1 do
+      install_llc t s line
+    done
+  done

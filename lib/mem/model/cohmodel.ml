@@ -4,20 +4,21 @@
     faults and the counters/trace/observer layer; everything that
     depends on {e where a cache line lives} — latency classes, line
     state, private/LLC tag arrays, energy per service class — lives
-    behind this signature.  Three implementations ship:
+    behind this signature.  Two implementations ship, registered under
+    three names ({!Models}):
 
-    - {!Coh_mesi} (default): the MESI-like inclusive-LLC directory
-      model the repository has always used.  Byte-identical to the
-      pre-refactor monolith: schedule counts, golden results and replay
-      files are unchanged.
-    - {!Coh_flat}: O(1) uniform cost, no line state at all.  For
-      SCT/DPOR exploration and analysis sweeps, where the schedule is
-      controlled and timing fidelity is irrelevant — it skips the
+    - {!Coh_dir}: one directory model (per-core private tags, per-socket
+      LLC tags, owner + sharer set per line), instantiated twice by
+      {!Models}: ["mesi"] (default), the MESI-like inclusive-LLC model
+      the repository has always used — schedule counts, golden results
+      and replay files are its behavior — and ["moesi"], an
+      Opteron-style victim LLC with an Owned state, for
+      reproducing the paper's cross-platform shape differences
+      (Opteron's HT-interconnect LLC vs. the Xeons' inclusive one).
+    - {!Coh_flat} (["flat"]): O(1) uniform cost, no line state at all.
+      For SCT/DPOR exploration and analysis sweeps, where the schedule
+      is controlled and timing fidelity is irrelevant — it skips the
       multi-megabyte tag arrays a directory model allocates per run.
-    - {!Coh_moesi}: an Opteron-style non-inclusive (victim) LLC with an
-      Owned state, for reproducing the paper's cross-platform shape
-      differences (Opteron's HT-interconnect LLC vs. the Xeons'
-      inclusive one).
 
     Contract details a conforming model must honor:
 

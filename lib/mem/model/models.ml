@@ -1,9 +1,23 @@
 (** The coherence-model registry: every {!Cohmodel.S} implementation,
     addressable by the stable name CLIs use and replay files record. *)
 
-let mesi : Cohmodel.spec = (module Coh_mesi)
+let mesi : Cohmodel.spec =
+  (module struct
+    include Coh_dir
+
+    let name = "mesi"
+    let create = create ~victim:false
+  end)
+
 let flat : Cohmodel.spec = (module Coh_flat)
-let moesi : Cohmodel.spec = (module Coh_moesi)
+
+let moesi : Cohmodel.spec =
+  (module struct
+    include Coh_dir
+
+    let name = "moesi"
+    let create = create ~victim:true
+  end)
 
 (** The default everywhere a model is not explicitly selected.  The
     entire pre-refactor behavior — golden results, schedule counts,
@@ -21,3 +35,12 @@ let by_name name =
       invalid_arg
         (Printf.sprintf "unknown coherence model: %s (expected one of: %s)" name
            (String.concat ", " names))
+
+(** {!by_name} for command lines: an unknown name prints
+    [prog: unknown coherence model: ...] on stderr and exits 2. *)
+let by_name_or_exit ~prog name =
+  match by_name name with
+  | m -> m
+  | exception Invalid_argument msg ->
+      Printf.eprintf "%s: %s\n" prog msg;
+      exit 2

@@ -8,7 +8,8 @@
    the Opteron-style MOESI variant.  Only *costs* (makespans, miss
    classes, energy) may differ, and they must actually differ, or a
    "model" is silently aliasing another.  The MESI default additionally
-   pins the pre-refactor golden numbers bit-for-bit. *)
+   pins the pre-refactor golden numbers bit-for-bit, and both directory
+   instances (mesi, moesi) are pinned bit-for-bit on three workloads. *)
 
 module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
@@ -140,6 +141,28 @@ let test_replay_rearms_model () =
         | Some v, [ Some a; Some b ] -> a = v && b = v
         | _ -> false))
 
+let test_replay_unknown_model_rejected () =
+  (* a replay file naming a model this build does not have is a bad
+     schedule file, reported like any other, not an escaping
+     Invalid_argument *)
+  let finding, _ = Sct.explore ~mode:Explorer.Dpor ~races:true ~model:flat (spec "ll-async") in
+  let path = Filename.temp_file "model_unknown" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Sct.save_finding ~races:true ~model:flat ~path (spec "ll-async") (Option.get finding);
+      let prefix, _, meta = Ascy_sct.Replay.load path in
+      let meta =
+        List.map
+          (fun (k, v) -> if k = "model" then (k, Ascy_util.Json.String "mesix") else (k, v))
+          meta
+      in
+      Ascy_sct.Replay.save ~path ~meta ~prefix ();
+      Alcotest.check_raises "unknown model is a bad schedule"
+        (Ascy_sct.Replay.Bad_schedule
+           "unknown coherence model: mesix (expected one of: mesi, flat, moesi)")
+        (fun () -> ignore (Sct.replay_file path)))
+
 let test_default_model_meta_is_empty () =
   (* mesi replay files must stay byte-identical to pre-refactor ones:
      the default model adds no metadata *)
@@ -243,6 +266,106 @@ let test_mesi_golden_stats () =
   Alcotest.(check int) "l1 hits" 13 st.Sim.hits_l1;
   Alcotest.(check int) "local transfers" 386 st.Sim.transfers_local
 
+(* ------------------------------------------------------------------ *)
+(* Directory-model pins: mesi and moesi, bit for bit                   *)
+(* ------------------------------------------------------------------ *)
+
+(* every field of a run's stats, floats in %h: one line per run, so a
+   drift names the run that moved *)
+let stats_line label (st : Sim.run_stats) =
+  Printf.sprintf "%s: makespan=%d s=%h acc=%d l1=%d llc=%d c2c=%d/%d rfetch=%d mem=%d rmw=%d st=%d e=%h p=%h ev=%s"
+    label st.Sim.makespan_cycles st.Sim.seconds st.Sim.accesses st.Sim.hits_l1 st.Sim.hits_llc
+    st.Sim.transfers_local st.Sim.transfers_remote st.Sim.fetch_remote st.Sim.misses_mem
+    st.Sim.atomics st.Sim.stores st.Sim.energy_j st.Sim.power_w
+    (String.concat "," (Array.to_list (Array.map string_of_int st.Sim.events)))
+
+(* 12 threads span two sockets on both platforms *)
+let pin_threads = 12
+
+let raw_run model platform ~lines body =
+  Sim.with_sim ~seed:5 ~model ~platform ~nthreads:pin_threads (fun sim ->
+      let cells = Array.init lines (fun _ -> Mem.make_fresh 0) in
+      let makespan = Sim.run sim (Array.init pin_threads (fun t () -> body cells t)) in
+      Sim.stats sim ~makespan)
+
+(* HTM-elided CLHT-LB updates on a warmed directory: the transactional
+   path (txn_conflict / txn_line_cost / txn_commit) next to plain
+   accesses *)
+let pin_txn model platform =
+  Ascy_core.Config.clht_htm := true;
+  Fun.protect
+    ~finally:(fun () -> Ascy_core.Config.clht_htm := false)
+    (fun () ->
+      let maker = (Ascylib.Registry.by_name "ht-clht-lb").Ascylib.Registry.maker in
+      let wl = Ascy_harness.Workload.make ~initial:128 ~update_pct:40 () in
+      let r =
+        Ascy_harness.Sim_run.run ~seed:3 ~model maker ~platform ~nthreads:pin_threads
+          ~workload:wl ~ops_per_thread:60 ()
+      in
+      r.Ascy_harness.Sim_run.stats)
+
+(* four lines per slot, 16384 lines apart (a multiple of both
+   platforms' private slot counts), walked by every thread on a cold
+   machine: fills evict, and revisits hit the LLC only where the model
+   writes evicted lines back into it *)
+let pin_evict model platform =
+  let stride = 16384 in
+  raw_run model platform ~lines:(4 * stride) (fun cells t ->
+      for round = 0 to 5 do
+        for k = 0 to 3 do
+          let c = cells.((k * stride) + ((t + round) mod 16)) in
+          if (t + k + round) mod 3 = 0 then Mem.set c round else ignore (Mem.get c)
+        done
+      done)
+
+(* writers, RMW-ers and readers on both sockets sharing eight dirty
+   lines: the dirty-read transfer, owner demotion vs. Owned, and
+   upgrades with remote sharers *)
+let pin_share model platform =
+  raw_run model platform ~lines:8 (fun cells t ->
+      for i = 1 to 100 do
+        let c = cells.((i + t) mod 8) in
+        match t mod 4 with
+        | 0 -> Mem.set c i
+        | 1 -> ignore (Mem.fetch_and_add c 1)
+        | _ -> ignore (Mem.get c)
+      done)
+
+let directory_pins () =
+  List.concat_map
+    (fun model ->
+      List.concat_map
+        (fun platform ->
+          List.map
+            (fun (wl, run) ->
+              stats_line
+                (String.concat "/" [ Sim.model_name_of model; platform.P.name; wl ])
+                (run model platform))
+            [ ("txn", pin_txn); ("evict", pin_evict); ("share", pin_share) ])
+        [ P.xeon20; P.opteron ])
+    [ mesi; moesi ]
+
+(* any change to either instance's state machine, its charge order or
+   the scheduler moves at least one line *)
+let directory_pins_expected =
+  [
+    "mesi/Xeon20/txn: makespan=6886 s=0x1.4a1469e93a348p-19 acc=4591 l1=3949 llc=521 c2c=85/33 rfetch=1 mem=2 rmw=4 st=24 e=0x1.7c66cccb71c43p-15 p=0x1.270731c8c82cp+4 ev=0,0,0,0,2,287,0,0,287";
+    "mesi/Xeon20/evict: makespan=4056 s=0x1.84d91211ef0fbp-20 acc=288 l1=0 llc=173 c2c=27/2 rfetch=16 mem=70 rmw=0 st=96 e=0x1.b7a29c8c38133p-16 p=0x1.216fa150ba75fp+4 ev=0,0,0,0,0,0,0,0,0";
+    "mesi/Xeon20/share: makespan=8870 s=0x1.a92ebe1c1133cp-19 acc=1200 l1=4 llc=480 c2c=527/69 rfetch=112 mem=8 rmw=300 st=300 e=0x1.f4838b6a75cd2p-15 p=0x1.2d5b44cd98219p+4 ev=0,0,0,0,0,0,0,0,0";
+    "mesi/Opteron/txn: makespan=9872 s=0x1.3b79bf37c9309p-18 acc=4598 l1=3946 llc=528 c2c=53/67 rfetch=2 mem=2 rmw=4 st=24 e=0x1.5c495fa3065d6p-14 p=0x1.1aa012968797cp+4 ev=0,0,0,0,2,287,0,0,287";
+    "mesi/Opteron/evict: makespan=5400 s=0x1.59219cea0c3b6p-19 acc=288 l1=0 llc=172 c2c=28/3 rfetch=15 mem=70 rmw=0 st=96 e=0x1.7a0633ff3e979p-15 p=0x1.1865f1e43cfc1p+4 ev=0,0,0,0,0,0,0,0,0";
+    "mesi/Opteron/share: makespan=28080 s=0x1.c0abb263764d2p-17 acc=1200 l1=19 llc=314 c2c=196/395 rfetch=268 mem=8 rmw=300 st=300 e=0x1.e50622b08e658p-13 p=0x1.14be03f4ba2cep+4 ev=0,0,0,0,0,0,0,0,0";
+    "moesi/Xeon20/txn: makespan=10458 s=0x1.f54d9f701d496p-19 acc=5269 l1=4550 llc=352 c2c=248/114 rfetch=3 mem=2 rmw=132 st=216 e=0x1.1e7ebd979d0c8p-14 p=0x1.249bb98a3f31dp+4 ev=0,0,0,0,66,287,0,0,287";
+    "moesi/Xeon20/evict: makespan=5006 s=0x1.dfec9b7a5cf4bp-20 acc=288 l1=0 llc=124 c2c=25/2 rfetch=22 mem=115 rmw=0 st=96 e=0x1.104dae73404a8p-15 p=0x1.2280baf24c871p+4 ev=0,0,0,0,0,0,0,0,0";
+    "moesi/Xeon20/share: makespan=10150 s=0x1.e68a0d349be9p-19 acc=1200 l1=81 llc=2 c2c=987/117 rfetch=2 mem=11 rmw=300 st=300 e=0x1.1f29093a70a7p-14 p=0x1.2e2ffe6b086p+4 ev=0,0,0,0,0,0,0,0,0";
+    "moesi/Opteron/txn: makespan=17714 s=0x1.1b0a24bccfdccp-17 acc=5291 l1=4559 llc=347 c2c=172/208 rfetch=3 mem=2 rmw=134 st=217 e=0x1.3515375412167p-13 p=0x1.178e25aef8613p+4 ev=0,0,0,0,67,287,0,0,287";
+    "moesi/Opteron/evict: makespan=7500 s=0x1.df5959efbba7cp-19 acc=288 l1=0 llc=111 c2c=28/3 rfetch=25 mem=121 rmw=0 st=96 e=0x1.062e501c0d81ep-14 p=0x1.180a17b0f6ad7p+4 ev=0,0,0,0,0,0,0,0,0";
+    "moesi/Opteron/share: makespan=33820 s=0x1.0e316cfa12d2p-16 acc=1200 l1=14 llc=0 c2c=365/804 rfetch=4 mem=13 rmw=300 st=300 e=0x1.24151273bb879p-12 p=0x1.14bd4a596bf2p+4 ev=0,0,0,0,0,0,0,0,0";
+  ]
+
+let test_directory_pins () =
+  Alcotest.(check (list string)) "mesi/moesi run stats" directory_pins_expected (directory_pins ())
+
 let suite =
   [
     Alcotest.test_case "model registry" `Quick test_registry;
@@ -253,9 +376,11 @@ let suite =
     Alcotest.test_case "minimized counterexample model-invariant" `Slow
       test_minimized_counterexample_invariant;
     Alcotest.test_case "replay re-arms recorded model" `Quick test_replay_rearms_model;
+    Alcotest.test_case "replay rejects unknown model" `Quick test_replay_unknown_model_rejected;
     Alcotest.test_case "default model leaves meta empty" `Quick test_default_model_meta_is_empty;
     Alcotest.test_case "models priced differently" `Quick test_models_priced_differently;
     Alcotest.test_case "flat is uniform cost" `Quick test_flat_is_uniform;
     Alcotest.test_case "default = explicit mesi" `Quick test_mesi_default_identity;
     Alcotest.test_case "mesi golden stats" `Quick test_mesi_golden_stats;
+    Alcotest.test_case "directory models pinned" `Quick test_directory_pins;
   ]
