@@ -17,15 +17,23 @@
 
    Prints the declared-vs-observed table.  On any mismatch, writes a
    replayable FAULT_<name>.json counterexample (Replay schema v2,
-   reproducible with sct_replay) into DIR (default ".") and exits 1. *)
+   reproducible with sct_replay) into DIR (default ".") and exits 1.  A
+   bad command line (-watchdog below 1, an unknown NAME) is one line on
+   stderr and exit status 2. *)
 
 module Fault = Ascy_harness.Fault_run
+module Sct = Ascy_harness.Sct_run
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 
+(* a bad command line is one line on stderr and exit status 2 *)
+let bad_usage msg =
+  Printf.eprintf "ascy_chaos: %s\n" msg;
+  exit 2
+
 let () =
   let out_dir = ref "." in
-  let watchdog = ref 2_000 in
+  let watchdog = ref Fault.default_watchdog in
   let model = ref Ascy_mem.Sim.default_model in
   let names = ref [] in
   let rec parse = function
@@ -34,7 +42,9 @@ let () =
         out_dir := d;
         parse rest
     | "-watchdog" :: n :: rest ->
-        watchdog := int_of_string n;
+        (match int_of_string_opt n with
+        | Some w when w >= 1 -> watchdog := w
+        | _ -> bad_usage ("-watchdog must be an integer >= 1, got " ^ n));
         parse rest
     | "-model" :: m :: rest ->
         model := Ascy_mem.Models.by_name_or_exit ~prog:"ascy_chaos" m;
@@ -50,7 +60,10 @@ let () =
   let entries =
     match !names with
     | [] -> Registry.all
-    | names -> List.map Registry.by_name (List.rev names)
+    | names ->
+        List.map
+          (fun n -> try Registry.by_name n with Invalid_argument msg -> bad_usage msg)
+          (List.rev names)
   in
   Printf.printf "chaos sweep: %d algorithms, %s%s\n\n" (List.length entries)
     "crash-after-each-commit + finite-stall fault plans"
@@ -106,13 +119,13 @@ let () =
                 r.Fault.crash_probes
           | Some (faults, violation, check, wd) ->
               let path = Filename.concat !out_dir ("FAULT_" ^ name ^ ".json") in
-              Fault.save_finding ~path ~watchdog:wd ~check ~model:!model
-                (Fault.chaos_spec name) ~faults ~violation;
+              Sct.save_finding ~faults ~watchdog:wd ~check ~model:!model ~path ~prefix:[||]
+                ~violation (Fault.chaos_spec name);
               wrote := true;
               Printf.printf "  %s: %s\n    plan: %s\n    counterexample: %s\n" name violation
                 (Fault.plan_str faults) path;
               (* paranoia: a counterexample that does not reproduce is noise *)
-              let _, _, expected, results = Fault.replay_file ~times:2 path in
+              let _, _, expected, results = Sct.replay_file ~times:2 path in
               let reproduces =
                 match (expected, results) with
                 | Some v, [ Some a; Some b ] -> a = v && b = v

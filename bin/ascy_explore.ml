@@ -168,7 +168,8 @@ let () =
                       let path =
                         if Sys.file_exists canonical then canonical ^ ".check" else canonical
                       in
-                      Sct.save_finding ~model ~path (spec e.Registry.name) f;
+                      Sct.save_finding ~model ~path ~prefix:f.Sct.minimized
+                        ~violation:f.Sct.min_violation (spec e.Registry.name);
                       if path <> canonical then begin
                         if read_file path <> read_file canonical then
                           hard_fails :=

@@ -4,10 +4,10 @@
    (crash-stop: whatever it held — a lock, a half-linked node — stays
    exactly as it died), stall it for a bounded window, or slow a whole
    socket.  Ascy_harness.Fault_run turns this into chaos testing with
-   progress oracles: a global-progress watchdog that reports what every
-   survivor was spinning on, per-thread starvation gaps, and post-fault
-   structural validation + per-key conservation (with ±1 slack on the
-   corpse's in-flight key).
+   progress oracles, run by Ascy_harness.Sct_run's one scripted-run
+   executor: a global-progress watchdog that reports what every
+   survivor was spinning on, and post-fault structural validation +
+   per-key conservation (with ±1 slack on the corpse's in-flight key).
 
    This demo crash-stops thread 0 after each of its store/CAS commit
    points in turn — crash-holding-lock for the lazy list, crash-mid-CAS
@@ -20,15 +20,18 @@
 
    The wedge is then serialized as a FAULT_*.json counterexample
    (Replay schema v2: schedule prefix + fault plan in the same decision
-   coordinates) and replayed bit-for-bit, the same loop `bin/ascy_chaos`
-   and the CI chaos job run over the whole registry.
+   coordinates) and replayed bit-for-bit through Sct_run's one replay
+   reader, the same loop `bin/ascy_chaos` and the CI chaos job run over
+   the whole registry.
 
    Run with: dune exec examples/fault_demo.exe *)
 
 module Fault = Ascy_harness.Fault_run
+module Sct = Ascy_harness.Sct_run
 module Sim = Ascy_mem.Sim
 
 let file = "FAULT_demo_ll-lazy.json"
+let watchdog = 1_000
 
 (* Crash t0 after each of its commit points; return the first wedge. *)
 let sweep name ~check =
@@ -41,13 +44,12 @@ let sweep name ~check =
     (fun d ->
       if !wedge = None then begin
         let faults = [ { Sim.fe_at = d; fe_tid = 0; fe_fault = Sim.F_crash } ] in
-        let out = Fault.run_spec ~watchdog:1_000 ~check ~faults spec in
-        match (out.Fault.verdict, out.Fault.violation) with
-        | Fault.Wedged _, _ -> wedge := Some (faults, Option.get out.Fault.violation)
-        | Fault.Completed, Some v ->
+        match Fault.run_spec ~watchdog ~check ~faults spec with
+        | { Sct.violation = None; _ } -> ()
+        | { wedged = true; violation = Some v } -> wedge := Some (faults, v)
+        | { violation = Some v; _ } ->
             Printf.printf "%-10s oracle failure under %s: %s\n" name (Fault.plan_str faults) v;
             exit 1
-        | Fault.Completed, None -> ()
       end)
     cands;
   (match !wedge with
@@ -70,9 +72,9 @@ let () =
       exit 1
   | Some (faults, violation) ->
       Printf.printf "serializing the lock-holder wedge to %s ...\n" file;
-      Fault.save_finding ~path:file (Fault.chaos_spec "ll-lazy") ~faults ~violation
-        ~watchdog:1_000;
-      let _, _, expected, results = Fault.replay_file ~times:2 file in
+      Sct.save_finding ~faults ~watchdog ~check:false ~path:file ~prefix:[||] ~violation
+        (Fault.chaos_spec "ll-lazy");
+      let _, _, expected, results = Sct.replay_file ~times:2 file in
       let ok =
         match expected with
         | Some v -> List.for_all (fun r -> r = Some v) results

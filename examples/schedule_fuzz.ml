@@ -103,12 +103,13 @@ let () =
       Printf.printf "ll-async     schedule: %d decisions, minimized to %d (%d context switches)\n"
         (Array.length f.Sct.schedule) (Array.length f.Sct.minimized)
         (max 0 (List.length (Scheduler.to_chunks f.Sct.minimized) - 1));
-      Sct.save_finding ~races:true ~path:file (spec "ll-async") f
+      Sct.save_finding ~races:true ~path:file ~prefix:f.Sct.minimized
+        ~violation:f.Sct.min_violation (spec "ll-async")
   | None, _ ->
       prerr_endline "FATAL: SCT failed to break the asynchronized list";
       exit 1);
   Printf.printf "\nReplaying %s twice (determinism check):\n" file;
-  let _, expected, results = Sct.replay_file ~times:2 file in
+  let _, _, expected, results = Sct.replay_file ~times:2 file in
   List.iteri
     (fun i r ->
       Printf.printf "replay %d: %s\n" (i + 1)

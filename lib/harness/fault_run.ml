@@ -3,27 +3,18 @@
     with {e progress oracles} — does everyone else still finish when one
     thread crash-stops holding a lock, mid-CAS, or simply stalls?
 
-    This is the fault-injection sibling of {!Sct_run}: where [Sct_run]
-    enumerates interleavings of a correct execution, [Fault_run] holds
-    the schedule (default policy, or any explored prefix) and perturbs
-    the {e execution} itself.  Both live in the same coordinate system —
+    This module is chaos {e policy} only: which faults to inject, where,
+    and what the outcome says about an algorithm's progress guarantee.
+    Every run goes through {!Sct_run.run}, the one executor of a
+    scripted spec, with its progress watchdog armed; every
+    counterexample is written and replayed by {!Sct_run.save_finding}
+    and {!Sct_run.replay_file}.  Where [Sct_run.explore] enumerates
+    interleavings of a correct execution, chaos holds the schedule
+    (default policy, or any explored prefix) and perturbs the
+    {e execution} itself.  Both live in the same coordinate system —
     scheduler decision indices — so a fault plan composes with a
-    schedule prefix and serializes into the same replay file format
+    schedule prefix and serializes into the same replay file
     ({!Ascy_sct.Replay}, schema v2).
-
-    Oracles:
-    - {e global-progress watchdog}: some thread completes an operation
-      within a bounded number of scheduling decisions, or the run is
-      declared wedged and the watchdog reports what every surviving
-      thread was spinning on (for a lock-holder crash: the owning lock's
-      cache line);
-    - {e per-thread starvation}: the largest decision gap between any
-      one thread's consecutive operation completions;
-    - {e structural validation} + {e per-key conservation} after runs
-      that complete: net membership from {e completed} operations only,
-      widened by ±1 on the keys of crashed threads' in-flight ops (a
-      crash-stopped insert may or may not have taken effect — both are
-      legal; anything beyond that slack is corruption).
 
     {!classify} turns this into a verdict per algorithm: crash the
     victim after each of its store/CAS commits in turn (covering
@@ -34,33 +25,12 @@
     [bin/ascy_chaos] and CI. *)
 
 module Sim = Ascy_mem.Sim
-module J = Ascy_util.Json
 module Explorer = Ascy_sct.Explorer
 module Scheduler = Ascy_sct.Scheduler
-module Replay = Ascy_sct.Replay
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 
 type op = Workload.op = Search | Insert | Remove
-type spec = Sct_run.spec
-
-(** Re-exported so chaos callers need only this module. *)
-let mk_spec = Sct_run.mk_spec
-
-(** [true] iff [e] is the exception tag carried by injected crash
-    faults — deliberate termination, to be exempted from crash oracles. *)
-let is_injected = function Sim.Thread_killed -> true | _ -> false
-
-let action_str = function
-  | Sim.A_start -> "not started"
-  | Sim.A_work n -> Printf.sprintf "work(%d)" n
-  | Sim.A_access (k, line) ->
-      Printf.sprintf "%s@line%d"
-        (match k with Sim.Read -> "read" | Sim.Write -> "write" | Sim.Rmw -> "rmw")
-        line
-  | Sim.A_kcas lines ->
-      Printf.sprintf "kcas@lines[%s]"
-        (String.concat "," (Array.to_list (Array.map string_of_int lines)))
 
 let fault_str fe =
   match fe.Sim.fe_fault with
@@ -75,182 +45,16 @@ let fault_str fe =
 
 let plan_str faults = String.concat " " (List.map fault_str faults)
 
-(* Watchdog trip, raised from inside the scheduler callback. *)
-exception Wedged_exn of { at : int; spun : (int * string) list }
+(** The chaos watchdog window: decisions without any completed operation
+    before a run is declared wedged. *)
+let default_watchdog = 2_000
 
-type verdict =
-  | Completed  (** every non-crashed thread ran its whole script *)
-  | Wedged of { at : int; spun : (int * string) list }
-      (** the watchdog tripped: no operation completed for a full window;
-          [spun] is what each surviving unfinished thread was blocked on *)
-
-type outcome = {
-  verdict : verdict;
-  violation : string option;
-      (** the failure, if any: the watchdog description for a wedge, an
-          oracle description for a completed-but-corrupted run *)
-  starved : (int * int) list;
-      (** per-thread starvation report: [(tid, max decision gap between
-          its consecutive op completions)], worst first *)
-  crashed : int list;  (** tids crash-stopped by the plan *)
-  done_ops : int array;  (** operations completed, per thread *)
-}
-
-let crash_tids_of faults =
-  List.filter_map
-    (fun fe -> match fe.Sim.fe_fault with Sim.F_crash -> Some fe.Sim.fe_tid | _ -> None)
-    faults
-
-(* ------------------------------------------------------------------ *)
-(* One chaos run                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** [run_spec ?prefix ?watchdog ?check ~faults spec] executes the spec
-    once under the controlled default policy (after the optional
-    schedule [prefix]) with [faults] injected, and applies the progress
-    oracles.  [check = false] skips post-run validation/conservation —
-    required when the structure may be left mid-update behind a corpse's
-    lock (declared-blocking designs under crash), where even reading it
-    back could spin forever.  Deterministic: identical inputs give the
-    identical outcome, including description strings. *)
-let run_spec ?(prefix = [||]) ?sched ?(watchdog = 2_000) ?(max_steps = 200_000)
-    ?(check = true) ?on_step ?(model = Sim.default_model) ~faults (spec : spec) =
-  let nthreads = spec.Sct_run.nthreads in
-  let crash_tids = crash_tids_of faults in
-  let done_ops = Array.make nthreads 0 in
-  let last_done = Array.make nthreads 0 in
-  let max_gap = Array.make nthreads 0 in
-  let net = Hashtbl.create 16 in
-  let bump k d = Hashtbl.replace net k (d + try Hashtbl.find net k with Not_found -> 0) in
-  let decisions = ref 0 in
-  let last_progress = ref 0 in
-  let inner =
-    match sched with Some s -> s | None -> Scheduler.prefix_scheduler ?on_step ~prefix ()
-  in
-  let sched runnable =
-    incr decisions;
-    if !decisions - !last_progress > watchdog || !decisions > max_steps then
-      raise
-        (Wedged_exn
-           {
-             at = !decisions;
-             spun =
-               (let spun = ref [] in
-                for i = Sim.runnable_count runnable - 1 downto 0 do
-                  let tid = Sim.runnable_tid runnable i in
-                  if not (List.mem tid crash_tids) then
-                    spun := (tid, action_str (Sim.runnable_action runnable i)) :: !spun
-                done;
-                !spun);
-           });
-    inner runnable
-  in
-  let (module A : Ascy_core.Set_intf.MAKER) = (Registry.by_name spec.Sct_run.name).Registry.maker in
-  let module M = A (Sim.Mem) in
-  let cfg =
-    {
-      (Engine.default ~platform:spec.Sct_run.platform ~nthreads) with
-      scheduler = Some sched;
-      faults;
-      model;
-    }
-  in
-  Engine.with_session cfg (fun session ->
-      let sim = session.Engine.sim in
-      (* build + prefill outside simulated time, like Sct_run *)
-      let t = M.create ~hint:(max 8 (List.length spec.Sct_run.initial)) () in
-      List.iter (fun k -> ignore (M.insert t k (-1))) spec.Sct_run.initial;
-      Sim.warm sim;
-      let body tid () =
-        Array.iter
-          (fun (op, k) ->
-            (match op with
-            | Search -> ignore (M.search t k)
-            | Insert -> if M.insert t k tid then bump k 1
-            | Remove -> if M.remove t k then bump k (-1));
-            M.op_done t;
-            done_ops.(tid) <- done_ops.(tid) + 1;
-            let gap = !decisions - last_done.(tid) in
-            if gap > max_gap.(tid) then max_gap.(tid) <- gap;
-            last_done.(tid) <- !decisions;
-            last_progress := !decisions)
-          spec.Sct_run.script.(tid)
-      in
-      let fail =
-        match Engine.run session (Array.init nthreads body) with
-        | _ -> None
-        | exception Wedged_exn { at; spun } ->
-            Some
-              ( Wedged { at; spun },
-                Printf.sprintf
-                  "watchdog: no operation completed for %d decisions (tripped at %d); %s"
-                  watchdog at
-                  (String.concat ", "
-                     (List.map (fun (tid, a) -> Printf.sprintf "t%d blocked on %s" tid a) spun))
-              )
-        | exception Sim.Thread_failure (_, e, _) when is_injected e ->
-            (* an injected kill resurfaced through wrapping code; the run
-               is aborted but this is fault-induced, not a bug *)
-            Some (Completed, "injected kill escaped the simulated body")
-        | exception Sim.Thread_failure (tid, e, _) ->
-            Some
-              (Completed, Printf.sprintf "thread %d crashed: %s" tid (Printexc.to_string e))
-      in
-      let starved =
-        let l = ref [] in
-        Array.iteri (fun tid g -> if g > 0 then l := (tid, g) :: !l) max_gap;
-        List.sort (fun (_, a) (_, b) -> compare b a) !l
-      in
-      let crashed = Sim.crashed_tids sim in
-      let mk verdict violation = { verdict; violation; starved; crashed; done_ops } in
-      match fail with
-      | Some (verdict, desc) -> mk verdict (Some desc)
-      | None ->
-          if not check then mk Completed None
-          else
-            (* post-fault structural validation ... *)
-            let violation =
-              match M.validate t with
-              | Error msg -> Some (Printf.sprintf "structural invariant broken: %s" msg)
-              | Ok () ->
-                  (* ... and per-key conservation over completed ops, with
-                     ±1 slack on the keys of crashed threads' in-flight
-                     ops (the crash may have landed either side of the
-                     linearization point — both outcomes are legal) *)
-                  let inflight tid =
-                    if done_ops.(tid) < Array.length spec.Sct_run.script.(tid) then
-                      Some spec.Sct_run.script.(tid).(done_ops.(tid))
-                    else None
-                  in
-                  let bad =
-                    List.filter_map
-                      (fun k ->
-                        let wanted =
-                          (if List.mem k spec.Sct_run.initial then 1 else 0)
-                          + (try Hashtbl.find net k with Not_found -> 0)
-                        in
-                        let lo = ref 0 and hi = ref 0 in
-                        List.iter
-                          (fun tid ->
-                            match inflight tid with
-                            | Some (Insert, k') when k' = k -> incr hi
-                            | Some (Remove, k') when k' = k -> decr lo
-                            | _ -> ())
-                          crashed;
-                        let got = if M.search t k <> None then 1 else 0 in
-                        if got < wanted + !lo || got > wanted + !hi then
-                          Some
-                            (Printf.sprintf
-                               "key %d: net count %d from completed ops (slack %+d..%+d), membership %d"
-                               k wanted !lo !hi got)
-                        else None)
-                      (Sct_run.keys_of spec)
-                  in
-                  (match bad with
-                  | [] -> None
-                  | _ -> Some ("conservation violated: " ^ String.concat "; " bad))
-            in
-            mk Completed violation)
+(** [run_spec ?on_step ?watchdog ?check ?model ~faults spec] runs the
+    spec once under the controlled default policy with [faults] injected
+    and the progress watchdog armed ({!Sct_run.run}). *)
+let run_spec ?on_step ?(watchdog = default_watchdog) ?check ?model ~faults spec =
+  Sct_run.run ~faults ~watchdog ?check ?model (Sct_run.maker_of spec) spec
+    ~sched:(Scheduler.prefix_scheduler ?on_step ~prefix:[||] ())
 
 (* ------------------------------------------------------------------ *)
 (* Crash-point discovery                                               *)
@@ -261,7 +65,7 @@ let run_spec ?(prefix = [||]) ?sched ?(watchdog = 2_000) ?(max_steps = 200_000)
     (the acquire is an RMW), mid-protocol for lock-free ones.  Derived
     from a fault-free probe run under the same (default) schedule, so
     the indices are exact for subsequent fault runs. *)
-let crash_candidates ?(max_candidates = 48) ?model ~victim (spec : spec) =
+let crash_candidates ?(max_candidates = 48) ?model ~victim (spec : Sct_run.spec) =
   let cands = ref [] in
   let on_step ~step ~runnable ~chosen =
     if chosen = victim && List.length !cands < max_candidates then
@@ -315,7 +119,7 @@ let matches r =
     it; observe.  For declared-blocking designs the sweep stops at the
     first wedge (the expected outcome); declared-non-blocking designs
     must survive every placement, so all are run. *)
-let classify ?(watchdog = 2_000) ?(max_candidates = 48) ?(stall = 500) ?model
+let classify ?(watchdog = default_watchdog) ?(max_candidates = 48) ?(stall = 500) ?model
     (entry : Registry.entry) =
   let spec = chaos_spec entry.Registry.name in
   let victim = 0 in
@@ -334,13 +138,12 @@ let classify ?(watchdog = 2_000) ?(max_candidates = 48) ?(stall = 500) ?model
        (fun d ->
          let faults = [ { Sim.fe_at = d; fe_tid = victim; fe_fault = Sim.F_crash } ] in
          incr probes;
-         let out = run_spec ~watchdog ~check:check_crash ?model ~faults spec in
-         match (out.verdict, out.violation) with
-         | Wedged _, _ ->
-             witness := Some (faults, Option.value ~default:"wedged" out.violation);
+         match run_spec ~watchdog ~check:check_crash ?model ~faults spec with
+         | { Sct_run.violation = None; _ } -> ()
+         | { wedged = true; violation = Some v } ->
+             witness := Some (faults, v);
              raise Exit
-         | Completed, Some v -> oracle_failures := (faults, v) :: !oracle_failures
-         | Completed, None -> ())
+         | { violation = Some v; _ } -> oracle_failures := (faults, v) :: !oracle_failures)
        cands
    with Exit -> ());
   let observed = if !witness <> None then Ascy.Blocking else Ascy.Non_blocking in
@@ -359,8 +162,8 @@ let classify ?(watchdog = 2_000) ?(max_candidates = 48) ?(stall = 500) ?model
     witness = !witness;
     crash_probes = !probes;
     oracle_failures = List.rev !oracle_failures;
-    stall_ok = stall_out.verdict = Completed && stall_out.violation = None;
-    stall_violation = stall_out.violation;
+    stall_ok = stall_out.Sct_run.violation = None;
+    stall_violation = stall_out.Sct_run.violation;
     stall_plan;
   }
 
@@ -377,51 +180,14 @@ let classify ?(watchdog = 2_000) ?(max_candidates = 48) ?(stall = 500) ?model
     exactly as in {!Sct_run.explore} (default: sequential exhaustive
     DFS, byte-identical to the historical behavior). *)
 let explore_crash ?mode ?(bounds = Explorer.default_bounds) ?(watchdog = 1_000)
-    ?(max_candidates = 8) ?model ?policy ?domains ~victim (spec : spec) =
+    ?(max_candidates = 8) ?model ?policy ?domains ~victim (spec : Sct_run.spec) =
   let cands = crash_candidates ~max_candidates ?model ~victim spec in
   List.find_map
     (fun d ->
       let faults = [ { Sim.fe_at = d; fe_tid = victim; fe_fault = Sim.F_crash } ] in
-      let run ~sched = (run_spec ~sched ~watchdog ~check:false ?model ~faults spec).violation in
+      let run ~sched =
+        (Sct_run.run ~faults ~watchdog ~check:false ?model (Sct_run.maker_of spec) spec ~sched).violation
+      in
       let report = Ascy_sct.Par_explore.dispatch ?mode ~bounds ?policy ?domains ~run () in
       match report.Explorer.failure with Some f -> Some (faults, f) | None -> None)
     cands
-
-(* ------------------------------------------------------------------ *)
-(* Serialization: FAULT_*.json (Replay schema v2)                      *)
-(* ------------------------------------------------------------------ *)
-
-(** Write a self-contained chaos counterexample: the fault plan, the
-    (possibly empty) schedule prefix, the spec, and the expected
-    violation.  Loadable by {!replay_file} and [bin/sct_replay]. *)
-let save_finding ~path ?(prefix = [||]) ?(watchdog = 2_000) ?(check = false)
-    ?(model = Sim.default_model) (spec : spec) ~faults ~violation =
-  Replay.save ~path ~faults ~prefix
-    ~meta:
-      (Sct_run.spec_meta spec
-      @ [
-          ("violation", J.String violation);
-          ("watchdog", J.Int watchdog);
-          ("oracles", J.Bool check);
-        ]
-      @ Engine.model_meta model)
-    ()
-
-(** Load a chaos counterexample and replay it [times] times; returns the
-    spec, the stored expected violation, and each replay's violation
-    (all identical when the reproduction is deterministic). *)
-let replay_file ?(times = 2) path =
-  let prefix, faults, meta = Replay.load path in
-  let spec = Sct_run.spec_of_meta meta in
-  let expected =
-    match List.assoc_opt "violation" meta with Some (J.String s) -> Some s | _ -> None
-  in
-  let watchdog =
-    match List.assoc_opt "watchdog" meta with Some (J.Int w) -> w | _ -> 2_000
-  in
-  let check = match List.assoc_opt "oracles" meta with Some (J.Bool b) -> b | _ -> false in
-  let model = Engine.model_of_meta meta in
-  let results =
-    List.init times (fun _ -> (run_spec ~prefix ~watchdog ~check ~model ~faults spec).violation)
-  in
-  (spec, faults, expected, results)

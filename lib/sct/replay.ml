@@ -32,10 +32,9 @@
     A file with no faults is always written as (and byte-identical to)
     schema version 1, so pre-fault tooling and golden files are
     untouched.  [meta] is opaque to this module; [Ascy_harness.Sct_run]
-    and [Ascy_harness.Fault_run] store the algorithm name, platform,
-    thread count, per-thread operation scripts and the violation message
-    there, so a schedule file is a complete, self-contained reproduction
-    recipe. *)
+    stores the algorithm name, platform, thread count, per-thread
+    operation scripts and the violation message there, so a schedule
+    file is a complete, self-contained reproduction recipe. *)
 
 module J = Ascy_util.Json
 module Sim = Ascy_mem.Sim
@@ -162,14 +161,13 @@ let save ~path ?meta ?faults ~prefix () =
       output_string oc (J.to_string ~indent:1 (to_json ?meta ?faults ~prefix ()));
       output_string oc "\n")
 
+(** [load path] reads and decodes a schedule file ({!of_json}).  An
+    unreadable file or malformed JSON is a {!Bad_schedule} too. *)
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      of_json (J.of_string s))
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all with Sys_error msg -> fail msg
+  in
+  of_json (try J.of_string text with J.Parse_error msg -> fail msg)
 
 (* ------------------------------------------------------------------ *)
 (* Minimization                                                        *)

@@ -144,7 +144,11 @@ let parse_string_raw p =
        | 'f' -> Buffer.add_char b '\012'
        | 'u' ->
            if p.pos + 4 > String.length p.s then fail p "truncated \\u escape";
-           let code = int_of_string ("0x" ^ String.sub p.s p.pos 4) in
+           let code =
+             match int_of_string_opt ("0x" ^ String.sub p.s p.pos 4) with
+             | Some c -> c
+             | None -> fail p "bad \\u escape"
+           in
            p.pos <- p.pos + 4;
            (* only BMP code points below 0x80 emitted by us; store others raw *)
            if code < 0x80 then Buffer.add_char b (Char.chr code)

@@ -5,8 +5,10 @@
    survivor (with the watchdog naming the lock site they spin on);
    SSMEM's stuck-epoch detection and detach path under a crashed thread;
    the Sct_run crash oracle's injected-kill exemption; Replay schema v2
-   round-trips (and v1 output staying fault-free byte-for-byte); and
-   Fault_run's classify / save_finding / replay_file pipeline. *)
+   round-trips (and v1 output staying fault-free byte-for-byte);
+   Fault_run's classify pipeline through Sct_run's one replay writer
+   and reader; and replay files written by earlier builds, plus
+   malformed ones, through that reader. *)
 
 module Sim = Ascy_mem.Sim
 module SMem = Ascy_mem.Sim.Mem
@@ -138,6 +140,10 @@ let test_fault_unknown_target_rejected () =
 
 (* ---------------- lock-holder crashes (progress oracles) --------- *)
 
+(* Watchdog trip: the decision it fired at and what each survivor was
+   last parked on. *)
+exception Wedged of int * (int * string) list
+
 (* Crash the victim inside its critical section and assert that every
    survivor wedges, with the watchdog's report naming what they spin on.
    The crash point is found by a fault-free probe under the identical
@@ -162,23 +168,20 @@ let lock_holder_crash ?(expect_line = true) ~name ~mk ~acquire ~release () =
           incr decisions;
           for i = 0 to Sim.runnable_count runnable - 1 do
             match Sim.runnable_action runnable i with
-            | Sim.A_access _ as a -> last_access.(Sim.runnable_tid runnable i) <- Fault.action_str a
+            | Sim.A_access _ as a -> last_access.(Sim.runnable_tid runnable i) <- Sct_run.action_str a
             | _ -> ()
           done;
           (match cand with Some c when !c = 0 && !holding -> c := !decisions | _ -> ());
           if !decisions - !last_progress > watchdog then
             raise
-              (Fault.Wedged_exn
-                 {
-                   at = !decisions;
-                   spun =
-                     (let spun = ref [] in
-                      for i = Sim.runnable_count runnable - 1 downto 0 do
-                        let tid = Sim.runnable_tid runnable i in
-                        if tid <> victim then spun := (tid, last_access.(tid)) :: !spun
-                      done;
-                      !spun);
-                 });
+              (Wedged
+                 ( !decisions,
+                   let spun = ref [] in
+                   for i = Sim.runnable_count runnable - 1 downto 0 do
+                     let tid = Sim.runnable_tid runnable i in
+                     if tid <> victim then spun := (tid, last_access.(tid)) :: !spun
+                   done;
+                   !spun ));
           inner runnable
         in
         let body tid () =
@@ -205,7 +208,7 @@ let lock_holder_crash ?(expect_line = true) ~name ~mk ~acquire ~release () =
         in
         (line, match Sim.run ~scheduler:sched ~faults sim (Array.init nthreads body) with
                | _ -> Ok finished
-               | exception Fault.Wedged_exn { at; spun } -> Error (at, spun)))
+               | exception Wedged (at, spun) -> Error (at, spun)))
   in
   let c = ref 0 in
   (match run ~faults:[] ~cand:(Some c) with
@@ -405,8 +408,9 @@ let test_classify_lock_based_wedges_and_replays () =
   | Some (faults, violation) ->
       Alcotest.(check bool) "watchdog described the wedge" true (contains violation "watchdog");
       let path = Filename.temp_file "fault_ll_lazy" ".json" in
-      Fault.save_finding ~path (Fault.chaos_spec "ll-lazy") ~faults ~violation;
-      let _, faults', expected, results = Fault.replay_file ~times:2 path in
+      Sct_run.save_finding ~faults ~watchdog:Fault.default_watchdog ~check:false ~path
+        ~prefix:[||] ~violation (Fault.chaos_spec "ll-lazy");
+      let _, faults', expected, results = Sct_run.replay_file ~times:2 path in
       Sys.remove path;
       Alcotest.(check bool) "plan round-trips" true (faults = faults');
       Alcotest.(check (option string)) "expected violation stored" (Some violation) expected;
@@ -424,6 +428,76 @@ let test_classify_lock_free_survives () =
   Alcotest.(check bool) "matches its declaration" true (Fault.matches r);
   Alcotest.(check bool) "no oracle failures" true (r.Fault.oracle_failures = []);
   Alcotest.(check bool) "several crash placements probed" true (r.Fault.crash_probes > 3)
+
+(* ---------------- replay files across builds + malformed ones ---- *)
+
+(* Replay files written by the build that still had a separate chaos
+   replay path (test/replay/): two SCT findings (schema v1; the second
+   under the flat model, so it carries the model field) and two FAULT
+   findings (schema v2: a lock-holder wedge without post-run oracles,
+   and a stall with them). *)
+let replay_dir = if Sys.file_exists "replay" then "replay" else "test/replay"
+let fixture name = Filename.concat replay_dir name
+let sct_fixtures = [ "sct_ll-async_conservation.json"; "sct_ll-async_race_flat.json" ]
+
+let fixtures =
+  sct_fixtures @ [ "fault_ll-lazy_wedge.json"; "fault_ll-async_stall_oracles.json" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_fixtures_replay () =
+  List.iter
+    (fun name ->
+      let _, _, expected, results = Sct_run.replay_file ~times:2 (fixture name) in
+      match expected with
+      | None -> Alcotest.fail (name ^ ": no stored violation")
+      | Some v ->
+          Alcotest.(check (list (option string))) (name ^ " reproduces") [ Some v; Some v ] results)
+    fixtures;
+  (* the one writer still produces the original SCT bytes *)
+  List.iter
+    (fun name ->
+      let prefix, _, meta = Replay.load (fixture name) in
+      let str k = match List.assoc k meta with J.String s -> s | _ -> assert false in
+      let races = List.assoc "races" meta = J.Bool true in
+      let path = Filename.temp_file "resave" ".json" in
+      Sct_run.save_finding ~races ~model:(Ascy_harness.Engine.model_of_meta meta) ~path ~prefix
+        ~violation:(str "violation") (Sct_run.spec_of_meta meta);
+      let got = read_file path in
+      Sys.remove path;
+      Alcotest.(check string) (name ^ " re-saves byte-identically") (read_file (fixture name)) got)
+    sct_fixtures
+
+(* Every malformed replay file is a Bad_schedule, never a stray
+   exception and never a silently different replay. *)
+let test_malformed_replay_files () =
+  let prefix, _, meta = Replay.load (fixture "sct_ll-async_conservation.json") in
+  let with_meta k v = List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) meta in
+  let path = Filename.temp_file "malformed" ".json" in
+  let rejects what write =
+    write ();
+    match Sct_run.replay_file path with
+    | _ -> Alcotest.fail (what ^ ": accepted")
+    | exception Replay.Bad_schedule _ -> ()
+  in
+  let save ?faults ?(prefix = prefix) meta () = Replay.save ~path ?faults ~meta ~prefix () in
+  rejects "truncated JSON" (fun () ->
+      let text = read_file (fixture "sct_ll-async_conservation.json") in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub text 0 (String.length text / 2))));
+  rejects "bad JSON escape" (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "{\"kind\": \"\\uZZZZ\"}"));
+  rejects "unknown platform" (save (with_meta "platform" (J.String "Xeon99")));
+  rejects "unknown algorithm" (save (with_meta "algorithm" (J.String "ll-nope")));
+  rejects "fault on an unknown thread" (save ~faults:[ crash ~at:3 7 ] meta);
+  rejects "fault on an unknown socket"
+    (save
+       ~faults:
+         [ { Sim.fe_at = 3; fe_tid = 9; fe_fault = Sim.F_numa_slow { factor = 2.0; window = 10 } } ]
+       meta);
+  rejects "prefix names an unknown thread" (save ~prefix:[| 0; 0; 5 |] meta);
+  Sys.remove path;
+  rejects "missing file" ignore
 
 let suite =
   [
@@ -451,4 +525,7 @@ let suite =
       test_classify_lock_based_wedges_and_replays;
     Alcotest.test_case "classify: lock-free survives every placement" `Quick
       test_classify_lock_free_survives;
+    Alcotest.test_case "replay files from earlier builds reproduce" `Quick test_fixtures_replay;
+    Alcotest.test_case "malformed replay files are bad schedules" `Quick
+      test_malformed_replay_files;
   ]

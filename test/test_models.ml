@@ -126,7 +126,8 @@ let test_replay_rearms_model () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Sct.save_finding ~races:true ~model:flat ~path (spec "ll-async") f;
+      Sct.save_finding ~races:true ~model:flat ~path ~prefix:f.Sct.minimized
+        ~violation:f.Sct.min_violation (spec "ll-async");
       let meta =
         let _, _, meta = Ascy_sct.Replay.load path in
         meta
@@ -134,7 +135,7 @@ let test_replay_rearms_model () =
       Alcotest.(check string)
         "non-default model recorded in meta" "flat"
         (Sim.model_name_of (Engine.model_of_meta meta));
-      let _, expected, results = Sct.replay_file ~times:2 path in
+      let _, _, expected, results = Sct.replay_file ~times:2 path in
       Alcotest.(check bool)
         "replay reproduces under the recorded model" true
         (match (expected, results) with
@@ -150,7 +151,9 @@ let test_replay_unknown_model_rejected () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Sct.save_finding ~races:true ~model:flat ~path (spec "ll-async") (Option.get finding);
+      let f = Option.get finding in
+      Sct.save_finding ~races:true ~model:flat ~path ~prefix:f.Sct.minimized
+        ~violation:f.Sct.min_violation (spec "ll-async");
       let prefix, _, meta = Ascy_sct.Replay.load path in
       let meta =
         List.map

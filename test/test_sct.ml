@@ -57,8 +57,8 @@ let test_seq_list_counterexample () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Sct.save_finding ~path spec f;
-          let _, expected, results = Sct.replay_file ~times:2 path in
+          Sct.save_finding ~path ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation spec;
+          let _, _, expected, results = Sct.replay_file ~times:2 path in
           Alcotest.(check (option string))
             "stored violation matches the finding" (Some f.Sct.min_violation) expected;
           Alcotest.(check (list (option string)))
@@ -174,8 +174,8 @@ let policy_conformance policy () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Sct.save_finding ~path spec f;
-          let _, expected, results = Sct.replay_file ~times:2 path in
+          Sct.save_finding ~path ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation spec;
+          let _, _, expected, results = Sct.replay_file ~times:2 path in
           Alcotest.(check (option string))
             "stored violation matches the finding" (Some f.Sct.min_violation) expected;
           Alcotest.(check (list (option string)))
