@@ -11,6 +11,14 @@
     - a directory per line tracking the owning core (modified state) and
       the sharer set.
 
+    Tag arrays are materialised on demand: each starts empty and grows
+    (by powers of two, up to its full slot count) only when a line is
+    installed past its current length, and a slot not yet materialised
+    reads as empty.  The slot function and the slot counts are those of
+    the full direct-mapped arrays, so every hit, miss, eviction and cost
+    class is unchanged; only set-up cost and memory follow the lines a
+    session actually touches rather than the platform's cache sizes.
+
     Costs: private hits, local LLC hits, in-socket and cross-socket
     dirty-line transfers, remote clean fetches and DRAM — exactly the
     mechanism the paper identifies as the scalability limiter (stores to
@@ -75,9 +83,9 @@ let create ~victim ~platform =
     victim;
     plat = platform;
     lines = Vec.create ~capacity:4096 dummy_line;
-    priv = Array.init platform.P.cores (fun _ -> Array.make priv_slots (-1));
+    priv = Array.make platform.P.cores [||];
     priv_mask = priv_slots - 1;
-    llc_tags = Array.init platform.P.sockets (fun _ -> Array.make llc_slots (-1));
+    llc_tags = Array.make platform.P.sockets [||];
     llc_mask = llc_slots - 1;
   }
 
@@ -85,9 +93,29 @@ let on_new_line t _id = Vec.push t.lines { owner = -1; sharers = Bits.create t.p
 
 let em = P.energy_model
 
-let in_priv t core line = t.priv.(core).(line land t.priv_mask) = line
-let install_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) <- line
-let in_llc t socket line = t.llc_tags.(socket).(line land t.llc_mask) = line
+(* The tag in [slot] of array [i] of [tags]; a slot past the array's
+   current length is empty. *)
+let[@inline] tag tags i slot =
+  let a = tags.(i) in
+  if slot < Array.length a then Array.unsafe_get a slot else -1
+
+(* Store [line] in [slot] of array [i] of [tags], whose full slot count
+   is [mask + 1].  A slot past the current length first grows that one
+   array to the next power of two holding it (at least 64, at most the
+   full count), with the new slots empty. *)
+let set_tag tags i mask slot line =
+  let a = tags.(i) in
+  if slot < Array.length a then a.(slot) <- line
+  else begin
+    let grown = Array.make (min (mask + 1) (pow2_at_least (slot + 1) 64)) (-1) in
+    Array.blit a 0 grown 0 (Array.length a);
+    grown.(slot) <- line;
+    tags.(i) <- grown
+  end
+
+let in_priv t core line = tag t.priv core (line land t.priv_mask) = line
+let install_llc t socket line = set_tag t.llc_tags socket t.llc_mask (line land t.llc_mask) line
+let in_llc t socket line = tag t.llc_tags socket (line land t.llc_mask) = line
 
 let in_remote_llc t socket line =
   let remote = ref false in
@@ -101,14 +129,14 @@ let in_remote_llc t socket line =
    the only way it is filled outside [warm]. *)
 let install_priv t core socket line =
   let slot = line land t.priv_mask in
-  let old = t.priv.(core).(slot) in
+  let old = tag t.priv core slot in
   if old >= 0 && old <> line then begin
     let ols = Vec.get t.lines old in
     Bits.remove ols.sharers core;
     if ols.owner = core then ols.owner <- -1 (* writeback *);
     if t.victim then install_llc t socket old
   end;
-  t.priv.(core).(slot) <- line
+  set_tag t.priv core t.priv_mask slot line
 
 (* A fetched or written line backs into the local LLC only when it is
    inclusive. *)
@@ -192,7 +220,7 @@ let access t cnt ~core:c ~socket:s kind line =
       install_priv t c s line;
       if t.victim then
         for os = 0 to p.P.sockets - 1 do
-          if in_llc t os line then t.llc_tags.(os).(line land t.llc_mask) <- -1
+          if in_llc t os line then set_tag t.llc_tags os t.llc_mask (line land t.llc_mask) (-1)
         done
       else install_llc t s line;
       served

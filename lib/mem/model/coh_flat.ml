@@ -1,8 +1,8 @@
 (** The O(1) uniform-cost model ({!Cohmodel.S}): every access is a
     private-cache hit; atomics pay the platform's atomic surcharge on
     top.  No line state, no tag arrays, no per-line directory — creating
-    an instance allocates nothing beyond the record, where the MESI
-    directory model allocates multi-megabyte tag arrays per simulation.
+    an instance allocates nothing beyond the record, and an access
+    touches no state.
 
     Use it where timing fidelity is irrelevant and run volume is the
     bottleneck: SCT/DPOR exploration re-executes the program once per

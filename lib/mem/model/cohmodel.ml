@@ -17,8 +17,8 @@
       (Opteron's HT-interconnect LLC vs. the Xeons' inclusive one).
     - {!Coh_flat} (["flat"]): O(1) uniform cost, no line state at all.
       For SCT/DPOR exploration and analysis sweeps, where the schedule
-      is controlled and timing fidelity is irrelevant — it skips the
-      multi-megabyte tag arrays a directory model allocates per run.
+      is controlled and timing fidelity is irrelevant, and as the
+      cross-check that those results do not depend on the model.
 
     Contract details a conforming model must honor:
 

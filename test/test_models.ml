@@ -369,6 +369,83 @@ let directory_pins_expected =
 let test_directory_pins () =
   Alcotest.(check (list string)) "mesi/moesi run stats" directory_pins_expected (directory_pins ())
 
+module Cohmodel = Ascy_mem.Cohmodel
+module Simtypes = Ascy_mem.Simtypes
+
+(* The Opteron's LLC has 131072 slots: lines [k] and [k + 131072] share
+   an LLC slot (and a private slot), for small and top-of-array [k].  A
+   fixed read/write/RMW walk over each pair from cores on three sockets,
+   driven on the model directly, makes an LLC tag array hold one line of
+   a slot after the other was filled, written back or invalidated there.
+   Every (latency, class) is pinned. *)
+let llc_alias = 131072
+
+let aliased_llc_trace model =
+  match Cohmodel.instantiate model ~platform:P.opteron with
+  | Cohmodel.Inst ((module M), t) ->
+      for id = 0 to (2 * llc_alias) + 63 do
+        M.on_new_line t id
+      done;
+      let cnt = Simtypes.fresh_counters () in
+      let cps = P.cores_per_socket P.opteron in
+      List.map
+        (fun k ->
+          let a = k + llc_alias in
+          Simtypes.
+            [
+              (0, Read, k); (0, Read, a); (1, Read, k); (1, Write, a); (7, Read, a); (7, Rmw, k);
+              (0, Read, k); (2, Rmw, a); (13, Read, k); (13, Read, a); (0, Write, k); (1, Read, a);
+            ]
+          |> List.map (fun (core, kind, line) ->
+                 let lat, cls = M.access t cnt ~core ~socket:(core / cps) kind line in
+                 Printf.sprintf "%d:%s" lat (Simtypes.trace_class_name cls))
+          |> String.concat " "
+          |> Printf.sprintf "%s/%d: %s" (Sim.model_name_of model) k)
+        [ 0; 5; 4097; llc_alias - 1 ]
+
+let aliased_llc_expected =
+  [
+    "mesi/0: 350:mem 350:mem 350:mem 40:llc 310:c2c_remote 385:mem 310:c2c_remote 75:llc 220:llc_remote 310:c2c_remote 220:llc_remote 220:llc_remote";
+    "mesi/5: 350:mem 350:mem 350:mem 40:llc 310:c2c_remote 385:mem 310:c2c_remote 75:llc 220:llc_remote 310:c2c_remote 220:llc_remote 220:llc_remote";
+    "mesi/4097: 350:mem 350:mem 350:mem 40:llc 310:c2c_remote 385:mem 310:c2c_remote 75:llc 220:llc_remote 310:c2c_remote 220:llc_remote 220:llc_remote";
+    "mesi/131071: 350:mem 350:mem 350:mem 40:llc 310:c2c_remote 385:mem 310:c2c_remote 75:llc 220:llc_remote 310:c2c_remote 220:llc_remote 220:llc_remote";
+    "moesi/0: 350:mem 350:mem 40:llc 40:llc 310:c2c_remote 385:mem 310:c2c_remote 145:c2c_local 310:c2c_remote 310:c2c_remote 310:c2c_remote 110:c2c_local";
+    "moesi/5: 350:mem 350:mem 40:llc 40:llc 310:c2c_remote 385:mem 310:c2c_remote 145:c2c_local 310:c2c_remote 310:c2c_remote 310:c2c_remote 110:c2c_local";
+    "moesi/4097: 350:mem 350:mem 40:llc 40:llc 310:c2c_remote 385:mem 310:c2c_remote 145:c2c_local 310:c2c_remote 310:c2c_remote 310:c2c_remote 110:c2c_local";
+    "moesi/131071: 350:mem 350:mem 40:llc 40:llc 310:c2c_remote 385:mem 310:c2c_remote 145:c2c_local 310:c2c_remote 310:c2c_remote 310:c2c_remote 110:c2c_local";
+  ]
+
+let test_aliased_llc_pins () =
+  Alcotest.(check (list string))
+    "mesi/moesi aliased-LLC walk" aliased_llc_expected
+    (List.concat_map aliased_llc_trace [ mesi; moesi ])
+
+(* A directory model's per-session state follows the lines a session
+   installs, not the platform's cache sizes (xeon20's full tag arrays
+   are about 1.2M words). *)
+let session_words_bound = 16384
+
+let test_session_memory_bound () =
+  List.iter
+    (fun model ->
+      let inst = Cohmodel.instantiate model ~platform:P.xeon20 in
+      let check stage =
+        let words = Obj.reachable_words (Obj.repr inst) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %d words <= %d" (Sim.model_name_of model) stage words
+             session_words_bound)
+          true (words <= session_words_bound)
+      in
+      check "fresh";
+      match inst with
+      | Cohmodel.Inst ((module M), t) ->
+          for id = 0 to 63 do
+            M.on_new_line t id
+          done;
+          M.warm t ~nlines:64;
+          check "64 lines, warmed")
+    [ mesi; moesi ]
+
 let suite =
   [
     Alcotest.test_case "model registry" `Quick test_registry;
@@ -386,4 +463,6 @@ let suite =
     Alcotest.test_case "default = explicit mesi" `Quick test_mesi_default_identity;
     Alcotest.test_case "mesi golden stats" `Quick test_mesi_golden_stats;
     Alcotest.test_case "directory models pinned" `Quick test_directory_pins;
+    Alcotest.test_case "directory models pinned, aliased LLC" `Quick test_aliased_llc_pins;
+    Alcotest.test_case "directory session memory bounded" `Quick test_session_memory_bound;
   ]
