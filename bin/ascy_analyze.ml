@@ -17,31 +17,16 @@ module Check = Ascy_analysis.Ascy_check
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 module J = Ascy_util.Json
+module Cli = Ascy_harness.Cli
 
 let () =
   let out_dir = ref "." in
   let model = ref Ascy_mem.Sim.default_model in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        out_dir := d;
-        parse rest
-    | "-model" :: m :: rest ->
-        model := Ascy_mem.Models.by_name_or_exit ~prog:"ascy_analyze" m;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline "usage: ascy_analyze [-out DIR] [-model NAME] [NAME ...]";
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
   let entries =
-    match !names with
-    | [] -> Registry.all
-    | names -> List.map Registry.by_name (List.rev names)
+    Cli.algorithms
+      (Cli.parse ~prog:"ascy_analyze"
+         ~usage:"usage: ascy_analyze [-out DIR] [-model NAME] [NAME ...]"
+         [ Cli.out_dir out_dir; Cli.model_flag model ])
   in
   Printf.printf "ASCY conformance sweep: %d algorithms, %s%s\n\n" (List.length entries)
     "per-op phase profiles over contended (4T) + single-thread runs"
@@ -67,12 +52,7 @@ let () =
       if not ok then failures := r :: !failures)
     reports;
   let path = Filename.concat !out_dir "ASCY_CHECK.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 (Check.check_json reports));
-      output_char oc '\n');
+  J.to_file path (Check.check_json reports);
   Printf.printf "\n[evidence -> %s]\n" path;
   match !failures with
   | [] ->

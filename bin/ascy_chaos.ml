@@ -17,53 +17,29 @@
 
    Prints the declared-vs-observed table.  On any mismatch, writes a
    replayable FAULT_<name>.json counterexample (Replay schema v2,
-   reproducible with sct_replay) into DIR (default ".") and exits 1.  A
-   bad command line (-watchdog below 1, an unknown NAME) is one line on
-   stderr and exit status 2. *)
+   reproducible with sct_replay) into DIR (default ".") and exits 1. *)
 
 module Fault = Ascy_harness.Fault_run
 module Sct = Ascy_harness.Sct_run
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
-
-(* a bad command line is one line on stderr and exit status 2 *)
-let bad_usage msg =
-  Printf.eprintf "ascy_chaos: %s\n" msg;
-  exit 2
+module Cli = Ascy_harness.Cli
 
 let () =
   let out_dir = ref "." in
   let watchdog = ref Fault.default_watchdog in
   let model = ref Ascy_mem.Sim.default_model in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        out_dir := d;
-        parse rest
-    | "-watchdog" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some w when w >= 1 -> watchdog := w
-        | _ -> bad_usage ("-watchdog must be an integer >= 1, got " ^ n));
-        parse rest
-    | "-model" :: m :: rest ->
-        model := Ascy_mem.Models.by_name_or_exit ~prog:"ascy_chaos" m;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline "usage: ascy_chaos [-out DIR] [-watchdog N] [-model NAME] [NAME ...]";
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
   let entries =
-    match !names with
-    | [] -> Registry.all
-    | names ->
-        List.map
-          (fun n -> try Registry.by_name n with Invalid_argument msg -> bad_usage msg)
-          (List.rev names)
+    Cli.algorithms
+      (Cli.parse ~prog:"ascy_chaos"
+         ~usage:"usage: ascy_chaos [-out DIR] [-watchdog N] [-model NAME] [NAME ...]"
+         [
+           Cli.out_dir out_dir;
+           Cli.value "-watchdog" (Cli.int ~min:1) watchdog
+             (Printf.sprintf "N  watchdog window: decisions without a completed op (default %d)"
+                !watchdog);
+           Cli.model_flag model;
+         ])
   in
   Printf.printf "chaos sweep: %d algorithms, %s%s\n\n" (List.length entries)
     "crash-after-each-commit + finite-stall fault plans"

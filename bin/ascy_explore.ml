@@ -5,12 +5,12 @@
                        [-model NAME] [-smoke] [-threshold X] [-soft] [NAME ...]
 
    For every algorithm (the full registry, the -smoke subset, or the
-   NAMEs given), run the 3-thread adversarial script of ascy_perf /
-   examples/schedule_fuzz under every requested exploration policy
-   (exhaustive DPOR, uniform random, PCT, swarm) at every requested
-   domain count, and write one EXPLORE_matrix.json row per cell:
-   schedules, steps, wall-clock, schedules/sec, the completeness flag,
-   and the verdict.
+   NAMEs given), run the 3-thread adversarial script
+   (Ascy_harness.Sct_run.adversarial_spec) under every requested
+   exploration policy (exhaustive DPOR, uniform random, PCT, swarm) at
+   every requested domain count, and write one EXPLORE_matrix.json row
+   per cell: schedules, steps, wall-clock, schedules/sec, the
+   completeness flag, and the verdict.
 
    Cross-checks, all within one invocation:
    - for a fixed (algorithm, policy), verdicts must be identical at
@@ -34,16 +34,7 @@ module Explorer = Ascy_sct.Explorer
 module Registry = Ascylib.Registry
 module Sim = Ascy_mem.Sim
 module J = Ascy_util.Json
-
-let spec name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+module Cli = Ascy_harness.Cli
 
 (* A quick correct-algorithms cross-section: two per family plus both
    lock-free hash tables, small enough for CI yet exercising every
@@ -55,13 +46,7 @@ let smoke_set =
     "sl-herlihy"; "sl-fraser"; "bst-tk"; "bst-howley";
   ]
 
-let parse_int_list s = List.map int_of_string (String.split_on_char ',' s)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 type cell = {
   c_name : string;
@@ -76,65 +61,55 @@ type cell = {
 let () =
   let out_dir = ref "." in
   let domain_counts = ref [ 1 ] in
-  let policy_names = ref [ "exhaustive"; "random"; "pct"; "swarm" ] in
+  let policy_names = ref Explorer.policy_names in
   let budget = ref 64 in
   let seed = ref 1 in
   let pct_depth = ref 3 in
   let swarm_seeds = ref 4 in
-  let model_name = ref "flat" in
+  let model = ref Ascy_mem.Models.flat in
   let threshold = ref 2.0 in
   let soft = ref false in
   let smoke = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest -> out_dir := d; parse rest
-    | "-domains" :: l :: rest -> domain_counts := parse_int_list l; parse rest
-    | "-policy" :: l :: rest -> policy_names := String.split_on_char ',' l; parse rest
-    | "-budget" :: n :: rest -> budget := int_of_string n; parse rest
-    | "-seed" :: n :: rest -> seed := int_of_string n; parse rest
-    | "-pct-depth" :: n :: rest -> pct_depth := int_of_string n; parse rest
-    | "-swarm-seeds" :: n :: rest -> swarm_seeds := int_of_string n; parse rest
-    | "-model" :: m :: rest -> model_name := m; parse rest
-    | "-threshold" :: x :: rest -> threshold := float_of_string x; parse rest
-    | "-soft" :: rest -> soft := true; parse rest
-    | "-smoke" :: rest -> smoke := true; parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline
-          "usage: ascy_explore [-out DIR] [-domains LIST] [-policy LIST] [-budget N]\n\
-          \                    [-seed N] [-pct-depth N] [-swarm-seeds N] [-model NAME]\n\
-          \                    [-smoke] [-threshold X] [-soft] [NAME ...]";
-        exit 0
-    | name :: rest -> names := name :: !names; parse rest
+  let names =
+    Cli.parse ~prog:"ascy_explore"
+      ~usage:
+        "usage: ascy_explore [-out DIR] [-domains LIST] [-policy LIST] [-budget N]\n\
+        \                    [-seed N] [-pct-depth N] [-swarm-seeds N] [-model NAME]\n\
+        \                    [-smoke] [-threshold X] [-soft] [NAME ...]"
+      [
+        Cli.out_dir out_dir;
+        Cli.value "-domains" (Cli.list (Cli.int ~min:1)) domain_counts
+          "LIST  comma-separated worker-domain counts (default 1)";
+        Cli.value "-policy" (Cli.list Cli.policy) policy_names
+          ("LIST  comma-separated policies (default " ^ String.concat "," !policy_names ^ ")");
+        Cli.value "-budget" (Cli.int ~min:1) budget
+          "N  schedules per randomized policy (default 64)";
+        Cli.value "-seed" Cli.int seed "N  randomized-policy seed (default 1)";
+        Cli.value "-pct-depth" (Cli.int ~min:1) pct_depth "N  PCT bug depth (default 3)";
+        Cli.value "-swarm-seeds" (Cli.int ~min:1) swarm_seeds
+          "N  swarm seeds sharing the budget (default 4)";
+        Cli.model_flag model;
+        ("-smoke", Arg.Set smoke, " explore the CI cross-section instead of the whole registry");
+        Cli.value "-threshold" Cli.pos_float threshold
+          "X  minimum exhaustive speedup at the highest domain count (default 2.0)";
+        ("-soft", Arg.Set soft, " report a speedup below -threshold as a warning only");
+      ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let model = Ascy_mem.Models.by_name_or_exit ~prog:"ascy_explore" !model_name in
-  if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
-  let entries =
-    match (!names, !smoke) with
-    | [], false -> Registry.all
-    | [], true -> List.map Registry.by_name smoke_set
-    | names, _ -> List.map Registry.by_name (List.rev names)
+  let model_name = Sim.model_name_of !model in
+  let model = !model in
+  let entries = Cli.algorithms (if names = [] && !smoke then smoke_set else names) in
+  let policies =
+    List.map
+      (Explorer.policy_of_name ~seed:!seed ~budget:!budget ~pct_depth:!pct_depth
+         ~swarm_seeds:!swarm_seeds)
+      !policy_names
   in
-  let policy_of_name = function
-    | "exhaustive" -> Explorer.Exhaustive
-    | "random" -> Explorer.Random { seed = !seed; schedules = !budget }
-    | "pct" -> Explorer.Pct { seed = !seed; depth = !pct_depth; schedules = !budget }
-    | "swarm" ->
-        Explorer.Swarm
-          {
-            seeds = List.init !swarm_seeds (fun i -> !seed + i);
-            schedules = max 1 (!budget / !swarm_seeds);
-          }
-    | p -> failwith ("unknown policy: " ^ p)
-  in
-  let policies = List.map policy_of_name !policy_names in
   let domain_counts = List.sort_uniq compare !domain_counts in
   Printf.printf
     "exploration matrix: %d algorithms x %d policies x domains {%s}, model %s, budget %d\n\n"
     (List.length entries) (List.length policies)
     (String.concat "," (List.map string_of_int domain_counts))
-    !model_name !budget;
+    model_name !budget;
   Printf.printf "%-14s %-10s %7s %9s %9s %8s %10s  %s\n" "name" "policy" "domains"
     "schedules" "steps" "seconds" "scheds/s" "verdict";
   let hard_fails = ref [] in
@@ -148,7 +123,8 @@ let () =
               (fun domains ->
                 let t0 = Unix.gettimeofday () in
                 let finding, report =
-                  Sct.explore ~mode:Explorer.Dpor ~model ~policy ~domains (spec e.Registry.name)
+                  Sct.explore ~mode:Explorer.Dpor ~model ~policy ~domains
+                    (Sct.adversarial_spec e.Registry.name)
                 in
                 let seconds = Unix.gettimeofday () -. t0 in
                 let violation =
@@ -169,7 +145,7 @@ let () =
                         if Sys.file_exists canonical then canonical ^ ".check" else canonical
                       in
                       Sct.save_finding ~model ~path ~prefix:f.Sct.minimized
-                        ~violation:f.Sct.min_violation (spec e.Registry.name);
+                        ~violation:f.Sct.min_violation (Sct.adversarial_spec e.Registry.name);
                       if path <> canonical then begin
                         if read_file path <> read_file canonical then
                           hard_fails :=
@@ -294,7 +270,7 @@ let () =
     J.Obj
       [
         ("schema_version", J.Int 1);
-        ("model", J.String !model_name);
+        ("model", J.String model_name);
         ("budget", J.Int !budget);
         ("seed", J.Int !seed);
         ("algorithms", J.Int (List.length entries));
@@ -311,12 +287,7 @@ let () =
       ]
   in
   let path = Filename.concat !out_dir "EXPLORE_matrix.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 json);
-      output_char oc '\n');
+  J.to_file path json;
   Printf.printf "\n[matrix -> %s]\n" path;
   List.iter (Printf.printf "warning: %s\n") (List.rev !warnings);
   (match speedup with

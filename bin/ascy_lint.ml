@@ -36,6 +36,13 @@
    [ascy_analysis], which [ascy_harness] depends on, so it cannot call
    [Engine] without inverting that layering.
 
+   Rule E — one command-line spine.  Under lib/, bin/ and examples/,
+   [Sys.argv] and the output-channel openers ([open_out*],
+   [Out_channel.open*]/[with_open*]) may appear only in
+   [lib/harness/cli.ml] (argument parsing and the exit policy),
+   [lib/util/json.ml] (the one artifact writer) and this file, so every
+   binary keeps the same flags, messages and artifact handling.
+
    The scanner lexes enough OCaml to skip comments (nested, with
    embedded strings), string literals (escapes and {|quoted|} forms)
    and character literals, so prose never triggers a finding.
@@ -75,6 +82,8 @@ let rule_c_whitelist = [ "lib/mem/backend/mem_native.ml"; "lib/mem/core/sim.ml" 
 
 (* the engine, plus the one caller below it in the library order *)
 let rule_d_whitelist = [ "lib/harness/engine.ml"; "lib/analysis/ascy_check.ml" ]
+
+let rule_e_whitelist = [ "lib/harness/cli.ml"; "lib/util/json.ml"; "bin/ascy_lint.ml" ]
 
 let raw_modules =
   [ "Atomic"; "Mutex"; "Condition"; "Domain"; "Thread"; "Semaphore" ]
@@ -304,30 +313,9 @@ let check_rule_b path text =
         else incr pos
       done)
 
-let check_rule_c path text =
-  iter_lines text (fun lineno line ->
-      List.iter
-        (fun pat ->
-          let plen = String.length pat in
-          let len = String.length line in
-          let pos = ref 0 in
-          while !pos + plen <= len do
-            if
-              String.sub line !pos plen = pat
-              && (!pos = 0 || not (is_ident_char line.[!pos - 1]))
-            then
-              report path lineno
-                (Printf.sprintf
-                   "k-CAS descriptor internal [%s...] outside the backends — \
-                    build multi-word updates from Mem.kcas_op/Mem.kcas only; \
-                    descriptor encodings are private to %s"
-                   pat
-                   (String.concat " and " rule_c_whitelist));
-            incr pos
-          done)
-        [ "kdx_"; "Kdx_" ])
-
-let check_rule_d path text =
+(* Report each occurrence of a [toks] token that starts at an identifier
+   boundary (and, unless [prefix], also ends at one). *)
+let check_tokens ?(prefix = false) path text toks msg =
   iter_lines text (fun lineno line ->
       List.iter
         (fun tok ->
@@ -337,17 +325,38 @@ let check_rule_d path text =
             if
               String.sub line pos tlen = tok
               && (pos = 0 || not (is_ident_char line.[pos - 1]))
-              && (pos + tlen = len || not (is_ident_char line.[pos + tlen]))
-            then
-              report path lineno
-                (Printf.sprintf
-                   "[%s] outside the engine — run simulated executions \
-                    through Ascy_harness.Engine (with_session/run) so every \
-                    engine knob applies; only %s may call it"
-                   tok
-                   (String.concat " and " rule_d_whitelist))
+              && (prefix || pos + tlen = len || not (is_ident_char line.[pos + tlen]))
+            then report path lineno (msg tok)
           done)
-        [ "Sim.run"; "Sim.with_sim" ])
+        toks)
+
+let check_rule_c path text =
+  check_tokens ~prefix:true path text [ "kdx_"; "Kdx_" ] (fun pat ->
+      Printf.sprintf
+        "k-CAS descriptor internal [%s...] outside the backends — \
+         build multi-word updates from Mem.kcas_op/Mem.kcas only; \
+         descriptor encodings are private to %s"
+        pat
+        (String.concat " and " rule_c_whitelist))
+
+let check_rule_d path text =
+  check_tokens path text [ "Sim.run"; "Sim.with_sim" ] (fun tok ->
+      Printf.sprintf
+        "[%s] outside the engine — run simulated executions \
+         through Ascy_harness.Engine (with_session/run) so every \
+         engine knob applies; only %s may call it"
+        tok
+        (String.concat " and " rule_d_whitelist))
+
+let check_rule_e path text =
+  check_tokens ~prefix:true path text
+    [ "Sys.argv"; "open_out"; "Out_channel.open"; "Out_channel.with_open" ]
+    (fun tok ->
+      Printf.sprintf
+        "[%s] outside the CLI spine — parse flags with Ascy_harness.Cli.parse \
+         and write artifacts with Ascy_util.Json.to_file; only %s may use it"
+        tok
+        (String.concat ", " rule_e_whitelist))
 
 let rec walk dir f =
   Array.iter
@@ -366,9 +375,13 @@ let () =
       prerr_endline "usage: ascy_lint [-root DIR]";
       exit 2);
   Sys.chdir !root;
-  let files = ref [] in
-  walk "lib" (fun p -> files := p :: !files);
-  let files = List.sort compare !files in
+  let files_under dir =
+    let files = ref [] in
+    if Sys.file_exists dir then walk dir (fun p -> files := p :: !files);
+    List.sort compare !files
+  in
+  let lib = files_under "lib" in
+  let files = lib @ files_under "bin" @ files_under "examples" in
   List.iter
     (fun path ->
       let src = read_file path in
@@ -394,6 +407,10 @@ let () =
       if in_rule_b_scope && not has_pragma then check_rule_b path text;
       if not (List.mem path rule_c_whitelist) then check_rule_c path text;
       if not (List.mem path rule_d_whitelist) then check_rule_d path text)
+    lib;
+  List.iter
+    (fun path ->
+      if not (List.mem path rule_e_whitelist) then check_rule_e path (strip (read_file path)))
     files;
   match List.rev !findings with
   | [] ->

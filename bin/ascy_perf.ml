@@ -3,13 +3,14 @@
    Usage: ascy_perf [-out DIR] [-threshold X] [-soft] [NAME ...]
 
    For every registry algorithm (or just the NAMEs given), run the same
-   bounded DPOR exploration — the 3-thread adversarial script of
-   examples/schedule_fuzz — twice: once under the default MESI directory
-   model and once under the O(1) flat uniform-cost model.  Controlled
-   scheduling makes program behavior latency-independent, so the two
-   sweeps must agree exactly: same schedule count, same decision count,
-   same completeness, same verdict, per algorithm.  Any disagreement is
-   a bug in a coherence model (or in the claim) and fails the run.
+   bounded DPOR exploration — the 3-thread adversarial script
+   Ascy_harness.Sct_run.adversarial_spec — twice: once under the default
+   MESI directory model and once under the O(1) flat uniform-cost model.
+   Controlled scheduling makes program behavior latency-independent, so
+   the two sweeps must agree exactly: same schedule count, same decision
+   count, same completeness, same verdict, per algorithm.  Any
+   disagreement is a bug in a coherence model (or in the claim) and
+   fails the run.
 
    The aggregate wall-clock of each sweep gives the repo's sim-steps/sec
    baseline; both, plus the MESI/flat time ratio, are written to
@@ -18,24 +19,14 @@
    itself; it is a regression ceiling.  Exit 1 on any conformance
    mismatch, or when the MESI sweep takes more than the threshold
    (default 2.0) times as long as the flat one — soften the latter to a
-   warning with -soft for noisy CI machines.  A bad command line is one
-   line on stderr and exit status 2. *)
+   warning with -soft for noisy CI machines. *)
 
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
 module Registry = Ascylib.Registry
 module Sim = Ascy_mem.Sim
 module J = Ascy_util.Json
-
-let spec name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+module Cli = Ascy_harness.Cli
 
 type probe = {
   p_schedules : int;
@@ -50,7 +41,7 @@ let sweep model entries =
     List.map
       (fun (e : Registry.entry) ->
         let finding, report =
-          Sct.explore ~mode:Explorer.Dpor ~model (spec e.Registry.name)
+          Sct.explore ~mode:Explorer.Dpor ~model (Sct.adversarial_spec e.Registry.name)
         in
         {
           p_schedules = report.Explorer.schedules;
@@ -73,44 +64,20 @@ let model_json probes seconds =
       ("steps_per_sec", J.Float (if seconds > 0. then float_of_int steps /. seconds else 0.));
     ]
 
-let bad_usage msg =
-  Printf.eprintf "ascy_perf: %s\n" msg;
-  exit 2
-
 let () =
   let out_dir = ref "." in
   let threshold = ref 2.0 in
   let soft = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        out_dir := d;
-        parse rest
-    | "-threshold" :: x :: rest ->
-        (match float_of_string_opt x with
-        | Some t when t > 0. -> threshold := t
-        | _ -> bad_usage ("-threshold must be a number > 0, got " ^ x));
-        parse rest
-    | [ ("-out" | "-threshold") as flag ] -> bad_usage (flag ^ " needs a value")
-    | "-soft" :: rest ->
-        soft := true;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline "usage: ascy_perf [-out DIR] [-threshold X] [-soft] [NAME ...]";
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
   let entries =
-    match !names with
-    | [] -> Registry.all
-    | names ->
-        List.map
-          (fun n -> try Registry.by_name n with Invalid_argument msg -> bad_usage msg)
-          (List.rev names)
+    Cli.algorithms
+      (Cli.parse ~prog:"ascy_perf"
+         ~usage:"usage: ascy_perf [-out DIR] [-threshold X] [-soft] [NAME ...]"
+         [
+           Cli.out_dir out_dir;
+           Cli.value "-threshold" Cli.pos_float threshold
+             "X  fail when the mesi sweep takes more than X times the flat one (default 2.0)";
+           ("-soft", Arg.Set soft, " report a threshold breach as a warning only");
+         ])
   in
   Printf.printf "model-conformance sweep: %d algorithms, bounded DPOR under mesi then flat\n\n"
     (List.length entries);
@@ -171,12 +138,7 @@ let () =
       ]
   in
   let path = Filename.concat !out_dir "PERF_SIM.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 json);
-      output_char oc '\n');
+  J.to_file path json;
   Printf.printf "[baseline -> %s]\n" path;
   if !mismatches > 0 then begin
     Printf.printf "%d conformance mismatch(es): flat and mesi disagree under controlled scheduling\n"

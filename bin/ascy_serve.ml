@@ -49,6 +49,7 @@ module Service_run = Ascy_service.Service_run
 module Service_native = Ascy_service.Service_native
 module Service_results = Ascy_service.Service_results
 module Resilience = Ascy_service.Resilience
+module Cli = Ascy_harness.Cli
 
 let p50_99_999 h =
   if H.count h = 0 then ("-", "-", "-")
@@ -58,66 +59,45 @@ let p50_99_999 h =
       Report.f1 (H.percentile h 99.9) )
 
 let () =
+  let out_dir = ref (Results.out_dir ()) in
   let seed = ref 1 in
-  let model = ref "mesi" in
+  let model = ref Ascy_mem.Sim.default_model in
   let scale = ref Scenario.Smoke in
   let native = ref false in
   let lin = ref false in
   let check = ref true in
   let resil = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "-out" :: d :: rest ->
-        Unix.putenv "ASCY_BENCH_OUT" d;
-        parse rest
-    | "-seed" :: n :: rest ->
-        seed := int_of_string n;
-        parse rest
-    | "-model" :: m :: rest ->
-        model := m;
-        parse rest
-    | "-scale" :: s :: rest ->
-        (scale :=
-           match s with
-           | "smoke" -> Scenario.Smoke
-           | "full" -> Scenario.Full
-           | s -> invalid_arg (Printf.sprintf "unknown scale %S (smoke|full)" s));
-        parse rest
-    | "-smoke" :: rest ->
-        scale := Scenario.Smoke;
-        parse rest
-    | "-native" :: rest ->
-        native := true;
-        parse rest
-    | "-lin" :: rest ->
-        lin := true;
-        parse rest
-    | "-no-check" :: rest ->
-        check := false;
-        parse rest
-    | "-resil" :: rest ->
-        resil := true;
-        parse rest
-    | ("-h" | "-help" | "--help") :: _ ->
-        print_endline
-          "usage: ascy_serve [-out DIR] [-seed N] [-model NAME] [-scale smoke|full] [-smoke] \
-           [-native] [-lin] [-no-check] [-resil] [SCENARIO ...]";
-        Printf.printf "scenarios: %s\n"
-          (String.concat ", "
-             (List.map (fun sc -> sc.Scenario.name) (Scenario.matrix Scenario.Smoke)));
-        exit 0
-    | name :: rest ->
-        names := name :: !names;
-        parse rest
+  let names =
+    Cli.parse ~prog:"ascy_serve"
+      ~usage:
+        (Printf.sprintf
+           "usage: ascy_serve [-out DIR] [-seed N] [-model NAME] [-scale smoke|full] [-smoke] \
+            [-native] [-lin] [-no-check] [-resil] [SCENARIO ...]\n\
+            scenarios: %s"
+           (String.concat ", "
+              (List.map (fun sc -> sc.Scenario.name) (Scenario.matrix Scenario.Smoke))))
+      [
+        Cli.out_dir out_dir;
+        Cli.value "-seed" Cli.int seed "N  simulation seed (default 1)";
+        Cli.model_flag model;
+        Cli.value "-scale"
+          (Cli.one_of [ ("smoke", Scenario.Smoke); ("full", Scenario.Full) ])
+          scale "SCALE  scenario size: smoke|full (default smoke)";
+        ("-smoke", Arg.Unit (fun () -> scale := Scenario.Smoke), " same as -scale smoke");
+        ("-native", Arg.Set native, " also run each restart-free scenario on real domains");
+        ("-lin", Arg.Set lin, " check shard 0's flash-crowd history for linearizability");
+        ("-no-check", Arg.Clear check, " skip the post-run validation and conservation oracles");
+        ("-resil", Arg.Set resil, " run the resilience fault matrix instead");
+      ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let scenarios =
-    match !names with
-    | [] -> Scenario.matrix !scale
-    | names -> List.map (Scenario.by_name !scale) (List.rev names)
+  Unix.putenv "ASCY_BENCH_OUT" !out_dir;
+  let named =
+    List.map
+      (fun n -> try Scenario.by_name !scale n with Invalid_argument msg -> Cli.fail "%s" msg)
+      names
   in
-  let model_v = Ascy_mem.Models.by_name_or_exit ~prog:"ascy_serve" !model in
+  let scenarios = if named = [] then Scenario.matrix !scale else named in
+  let model_name = Ascy_mem.Sim.model_name_of !model in
   if !resil then begin
     (* Resilience fault matrix: every queue-layer fault plan crossed with
        a restart-free scenario and the rolling-restart one (message
@@ -126,10 +106,9 @@ let () =
        replay check. *)
     let platform = P.xeon20 in
     let scenarios =
-      match !names with
-      | [] ->
-          [ Scenario.by_name !scale "read-mostly"; Scenario.by_name !scale "rolling-restart" ]
-      | names -> List.map (Scenario.by_name !scale) (List.rev names)
+      if named = [] then
+        [ Scenario.by_name !scale "read-mostly"; Scenario.by_name !scale "rolling-restart" ]
+      else named
     in
     let rcfg = Resilience.default in
     let failed = ref false in
@@ -138,7 +117,7 @@ let () =
     Printf.printf "resilience fault matrix: %d scenario(s) x %d fault kind(s), scale %s, seed %d, model %s\n\n"
       (List.length scenarios)
       (List.length Service_run.Fault_matrix.names)
-      (Scenario.scale_name !scale) !seed !model;
+      (Scenario.scale_name !scale) !seed model_name;
     Results.with_sink "service" (fun () ->
         List.iter
           (fun sc ->
@@ -148,7 +127,7 @@ let () =
                   Service_run.Fault_matrix.plan fk sc ~platform ~decisions
                 in
                 let exec () =
-                  Service_run.run ~seed:!seed ~model:model_v ~platform ~check:!check
+                  Service_run.run ~seed:!seed ~model:!model ~platform ~check:!check
                     ~resil:rcfg ~fault_plan sc
                 in
                 let label = Printf.sprintf "%s-%s-resil" sc.Scenario.name fk in
@@ -196,7 +175,7 @@ let () =
       (List.rev !rows);
     let path =
       Service_results.write_resil_matrix
-        (Service_results.resil_matrix ~seed:!seed ~model:!model
+        (Service_results.resil_matrix ~seed:!seed ~model:model_name
            ~scale:(Scenario.scale_name !scale) (List.rev !entries))
     in
     Printf.printf "wrote %s\n" path;
@@ -209,14 +188,14 @@ let () =
   end;
   let failed = ref false in
   Printf.printf "sharded KV service: %d scenario(s), scale %s, seed %d, model %s%s\n\n"
-    (List.length scenarios) (Scenario.scale_name !scale) !seed !model
+    (List.length scenarios) (Scenario.scale_name !scale) !seed model_name
     (if !native then " (+native smoke)" else "");
   Results.with_sink "service" (fun () ->
       let rows =
         List.map
           (fun sc ->
             let spotcheck = !lin && sc.Scenario.name = "flash-crowd" in
-            let r = Service_run.run ~seed:!seed ~model:model_v ~check:!check ~spotcheck sc in
+            let r = Service_run.run ~seed:!seed ~model:!model ~check:!check ~spotcheck sc in
             Results.record
               (Service_results.of_run
                  ~label:(Printf.sprintf "%s-%s" sc.Scenario.name (Scenario.scale_name !scale))

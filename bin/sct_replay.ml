@@ -9,25 +9,18 @@
    (algorithm, platform, thread scripts, prefill, fault plan, watchdog,
    coherence model) and replays it TIMES times (default 2).  Exit
    status: 0 when every replay reproduces the recorded violation
-   identically, 1 when it does not or the file is malformed, 2 on a
-   usage error. *)
+   identically, 1 when it does not or the file is malformed. *)
 
 module Sct = Ascy_harness.Sct_run
-
-(* a bad command line is one line on stderr and exit status 2 *)
-let bad_usage msg =
-  prerr_endline msg;
-  exit 2
+module Cli = Ascy_harness.Cli
 
 let () =
+  let usage = "usage: sct_replay FILE.json [TIMES]" in
   let path, times =
-    match Sys.argv with
-    | [| _; path |] -> (path, 2)
-    | [| _; path; n |] -> (
-        match int_of_string_opt n with
-        | Some t when t >= 1 -> (path, t)
-        | _ -> bad_usage ("sct_replay: TIMES must be an integer >= 1, got " ^ n))
-    | _ -> bad_usage "usage: sct_replay FILE.json [TIMES]"
+    match Cli.parse ~prog:"sct_replay" ~usage [] with
+    | [ path ] -> (path, 2)
+    | [ path; n ] -> (path, Cli.int ~min:1 "TIMES" n)
+    | _ -> Cli.fail "%s" usage
   in
   match
     let _, _, meta = Ascy_sct.Replay.load path in

@@ -27,20 +27,7 @@
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
 module Scheduler = Ascy_sct.Scheduler
-
-(* A small adversarial workload: threads race inserts/removes over a
-   handful of keys.  Deterministic per-thread scripts; the engine owns
-   the interleavings. *)
-let spec name =
-  Sct.mk_spec ~name
-    ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+module Cli = Ascy_harness.Cli
 
 let bounds = Explorer.default_bounds
 
@@ -54,25 +41,25 @@ let () =
   let seed = ref 1 in
   let pct_depth = ref 3 in
   let pname = ref "exhaustive" in
-  let rec parse = function
-    | [] -> ()
-    | "-policy" :: p :: rest -> pname := p; parse rest
-    | "-domains" :: n :: rest -> domains := int_of_string n; parse rest
-    | "-budget" :: n :: rest -> budget := int_of_string n; parse rest
-    | "-seed" :: n :: rest -> seed := int_of_string n; parse rest
-    | "-pct-depth" :: n :: rest -> pct_depth := int_of_string n; parse rest
-    | a :: _ -> failwith ("unknown argument: " ^ a)
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  policy :=
-    match !pname with
-    | "exhaustive" -> Explorer.Exhaustive
-    | "random" -> Explorer.Random { seed = !seed; schedules = !budget }
-    | "pct" -> Explorer.Pct { seed = !seed; depth = !pct_depth; schedules = !budget }
-    | "swarm" ->
-        Explorer.Swarm
-          { seeds = List.init 4 (fun i -> !seed + i); schedules = max 1 (!budget / 4) }
-    | p -> failwith ("unknown policy: " ^ p)
+  match
+    Cli.parse ~prog:"schedule_fuzz"
+      ~usage:
+        "usage: schedule_fuzz [-policy exhaustive|random|pct|swarm] [-domains N] [-budget N]\n\
+        \                     [-seed N] [-pct-depth N]"
+      [
+        Cli.value "-policy" Cli.policy pname "POLICY  exploration policy (default exhaustive)";
+        Cli.value "-domains" (Cli.int ~min:1) domains "N  worker domains (default 1)";
+        Cli.value "-budget" (Cli.int ~min:1) budget
+          "N  schedules per randomized policy (default 64)";
+        Cli.value "-seed" Cli.int seed "N  randomized-policy seed (default 1)";
+        Cli.value "-pct-depth" (Cli.int ~min:1) pct_depth "N  PCT bug depth (default 3)";
+      ]
+  with
+  | [] ->
+      policy :=
+        Explorer.policy_of_name ~seed:!seed ~budget:!budget ~pct_depth:!pct_depth ~swarm_seeds:4
+          !pname
+  | a :: _ -> Cli.fail "unexpected argument %s" a
 
 let hunt name =
   (match !policy with
@@ -84,7 +71,7 @@ let hunt name =
         (Explorer.policy_name p) !domains);
   let finding, report =
     Sct.explore ~mode:Explorer.Dpor ~bounds ~races:true ~policy:!policy ~domains:!domains
-      (spec name)
+      (Sct.adversarial_spec name)
   in
   Printf.printf "%-12s %d schedules, %d decisions%s\n" name report.Explorer.schedules
     report.Explorer.steps
@@ -104,7 +91,7 @@ let () =
         (Array.length f.Sct.schedule) (Array.length f.Sct.minimized)
         (max 0 (List.length (Scheduler.to_chunks f.Sct.minimized) - 1));
       Sct.save_finding ~races:true ~path:file ~prefix:f.Sct.minimized
-        ~violation:f.Sct.min_violation (spec "ll-async")
+        ~violation:f.Sct.min_violation (Sct.adversarial_spec "ll-async")
   | None, _ ->
       prerr_endline "FATAL: SCT failed to break the asynchronized list";
       exit 1);

@@ -203,20 +203,9 @@ let of_native_run ?(label = "") (r : Native_run.result) =
    drivers also work standalone. *)
 let sink : (string * J.t list ref) option ref = ref None
 
+(* A missing ASCY_BENCH_OUT directory does not lose the run's results:
+   {!Ascy_util.Json.to_file} creates it at sink-close time. *)
 let out_dir () = match Sys.getenv_opt "ASCY_BENCH_OUT" with Some d -> d | None -> "."
-
-(* A missing ASCY_BENCH_OUT directory must not lose the run's results
-   at sink-close time — create it instead. *)
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let filename experiment =
-  let dir = out_dir () in
-  mkdir_p dir;
-  Filename.concat dir ("BENCH_" ^ experiment ^ ".json")
 
 let open_sink experiment = sink := Some (experiment, ref [])
 
@@ -245,13 +234,8 @@ let close_sink ?(meta = []) () =
               ("runs", J.List (List.rev !runs));
             ]
         in
-        let path = filename experiment in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (J.to_string ~indent:1 doc);
-            output_char oc '\n');
+        let path = Filename.concat (out_dir ()) ("BENCH_" ^ experiment ^ ".json") in
+        J.to_file path doc;
         Some path
       end
 

@@ -62,6 +62,18 @@ let mk_spec ?(platform = P.xeon20) ~name ~initial ~script () =
   if nthreads < 1 then invalid_arg "Sct_run.mk_spec: empty script";
   { name; platform; nthreads; initial; script }
 
+(** The small adversarial workload the binaries explore: three threads
+    race inserts and removes over keys 1..3, with 2 prefilled. *)
+let adversarial_spec name =
+  mk_spec ~name ~initial:[ 2 ]
+    ~script:
+      [|
+        [| (Insert, 1); (Remove, 2); (Insert, 3) |];
+        [| (Insert, 1); (Insert, 2); (Remove, 3) |];
+        [| (Remove, 1); (Insert, 2) |];
+      |]
+    ()
+
 (** Derive a per-thread script from a {!Workload} the same way
     {!Sim_run} draws operations — per-thread RNGs, schedule-independent
     — so fuzz-style workloads can be explored systematically. *)

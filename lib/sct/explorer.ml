@@ -339,6 +339,20 @@ let policy_name = function
   | Pct _ -> "pct"
   | Swarm _ -> "swarm"
 
+let policy_names = [ "exhaustive"; "random"; "pct"; "swarm" ]
+
+(** The policy a command line names (the inverse of {!policy_name}):
+    [budget] schedules in all, which [swarm] splits over [swarm_seeds]
+    consecutive seeds from [seed]. *)
+let policy_of_name ~seed ~budget ~pct_depth ~swarm_seeds = function
+  | "exhaustive" -> Exhaustive
+  | "random" -> Random { seed; schedules = budget }
+  | "pct" -> Pct { seed; depth = pct_depth; schedules = budget }
+  | "swarm" ->
+      let seeds = List.init swarm_seeds (fun i -> seed + i) in
+      Swarm { seeds; schedules = max 1 (budget / swarm_seeds) }
+  | p -> invalid_arg ("unknown policy: " ^ p)
+
 (** Schedule indices are planned in fixed chunks of this size; each
     chunk is one unit of parallel work.  Part of the determinism
     contract — chunk [c]'s RNG stream is the [c]-th split of the

@@ -153,13 +153,7 @@ let of_json j =
   let meta = match J.member "meta" j with Some (J.Obj kvs) -> kvs | _ -> [] in
   (prefix, faults, meta)
 
-let save ~path ?meta ?faults ~prefix () =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 (to_json ?meta ?faults ~prefix ()));
-      output_string oc "\n")
+let save ~path ?meta ?faults ~prefix () = J.to_file path (to_json ?meta ?faults ~prefix ())
 
 (** [load path] reads and decodes a schedule file ({!of_json}).  An
     unreadable file or malformed JSON is a {!Bad_schedule} too. *)

@@ -193,13 +193,6 @@ let resil_matrix ~seed ~model ~scale entries =
 (** Write RESIL_matrix.json next to the BENCH files (the
     [ASCY_BENCH_OUT] directory). *)
 let write_resil_matrix j =
-  let dir = Results.out_dir () in
-  (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
-  let path = Filename.concat dir "RESIL_matrix.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:1 j);
-      output_char oc '\n');
+  let path = Filename.concat (Results.out_dir ()) "RESIL_matrix.json" in
+  J.to_file path j;
   path

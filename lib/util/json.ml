@@ -86,6 +86,21 @@ let to_string ?indent v =
   write ?indent b v;
   Buffer.contents b
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+(** [to_file path v] is the one artifact writer: it creates [path]'s
+    missing parent directories, then writes [v] pretty-printed with a
+    one-space indent and a trailing newline. *)
+let to_file path v =
+  mkdir_p (Filename.dirname path);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (to_string ~indent:1 v);
+      output_char oc '\n')
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -180,6 +180,18 @@ let test_json_parse_errors () =
       | _ -> Alcotest.failf "accepted malformed input: %s" s)
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}" ]
 
+let test_json_to_file_nested () =
+  let root = Filename.temp_dir "json_to_file" "" in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let path = Filename.concat dir "out.json" in
+  let v = Json.Obj [ ("k", Json.List [ Json.Int 1; Json.Null ]) ] in
+  Json.to_file path v;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "pretty text + newline" (Json.to_string ~indent:1 v ^ "\n") text;
+  Alcotest.(check bool) "reads back" true (Json.of_string text = v);
+  Sys.remove path;
+  List.iter Sys.rmdir [ dir; Filename.dirname dir; root ]
+
 let prop_histogram_bounds =
   QCheck.Test.make ~count:100 ~name:"percentiles are within sample bounds"
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (float_bound_exclusive 1000.0))
@@ -211,5 +223,6 @@ let suite =
     Alcotest.test_case "histogram merge (incl. self/empty)" `Quick test_histogram_merge;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
+    Alcotest.test_case "json to_file creates parent dirs" `Quick test_json_to_file_nested;
     QCheck_alcotest.to_alcotest prop_histogram_bounds;
   ]
