@@ -6,14 +6,14 @@
    operation of two deterministic simulator runs — a contended 4-thread
    run and a single-threaded run against the family's asynchronized
    baseline — and derive the observed ASCY compliance vector from the
-   per-phase access profiles (Ascy_analysis.Ascy_check).
+   per-phase access profiles (Ascy_harness.Ascy_check).
 
    Prints the Table-1-style declared-vs-observed table and writes the
    full evidence (per-entry measurements plus one offending op profile
    per violated pattern) to DIR/ASCY_CHECK.json.  Exits 1 on any
    observed/declared mismatch. *)
 
-module Check = Ascy_analysis.Ascy_check
+module Check = Ascy_harness.Ascy_check
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
 module J = Ascy_util.Json

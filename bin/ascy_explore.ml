@@ -1,33 +1,47 @@
-(* Policy × domain exploration matrix over the algorithm registry.
+(* Policy × domain × model exploration matrix over the algorithm registry.
 
    Usage: ascy_explore [-out DIR] [-domains LIST] [-policy LIST]
                        [-budget N] [-seed N] [-pct-depth N] [-swarm-seeds N]
-                       [-model NAME] [-smoke] [-threshold X] [-soft] [NAME ...]
+                       [-model LIST] [-smoke] [-threshold X] [-soft] [NAME ...]
 
    For every algorithm (the full registry, the -smoke subset, or the
    NAMEs given), run the 3-thread adversarial script
    (Ascy_harness.Sct_run.adversarial_spec) under every requested
    exploration policy (exhaustive DPOR, uniform random, PCT, swarm) at
-   every requested domain count, and write one EXPLORE_matrix.json row
-   per cell: schedules, steps, wall-clock, schedules/sec, the
-   completeness flag, and the verdict.
+   every requested domain count under every requested coherence model,
+   and write one EXPLORE_matrix.json row per cell: schedules, steps,
+   wall-clock, schedules/sec, the completeness flag, and the verdict.
 
-   Cross-checks, all within one invocation:
-   - for a fixed (algorithm, policy), verdicts must be identical at
-     every domain count, and any counterexample file must be
-     byte-identical across domain counts (the canonical-finding
-     contract of Ascy_sct.Par_explore) — a difference is a hard fail;
+   Controlled scheduling makes program behaviour independent of access
+   latency and of how many domains share the work, so neither the
+   domain count nor the model may move a result.  Cross-checks, all
+   within one invocation:
+   - for a fixed (algorithm, policy), every cell must report the same
+     verdict and the same minimized counterexample (prefix and
+     violation) — the canonical-finding contract of
+     Ascy_sct.Par_explore, extended to models; a difference is a hard
+     fail;
+   - for a fixed (algorithm, policy, domains), every model must explore
+     the same space: identical schedules, steps and completeness (a
+     hard fail).  `-model mesi,flat -policy exhaustive` over the whole
+     registry is the flat/MESI conformance sweep;
    - a randomized policy reporting a violation on an algorithm the
      exhaustive baseline proves clean (within bounds) is a hard fail;
      a randomized policy *missing* a violation exhaustive finds is the
      expected probabilistic shortfall and only warns;
    - the exhaustive schedules/sec at the highest domain count vs one
      domain gives the parallel speedup; below -threshold (default 2.0)
-     it fails the run — soften to a warning with -soft on machines
-     without spare cores (this container reports nproc=1).
+     it fails the run;
+   - with both mesi and flat listed, the summed seconds of the
+     exhaustive cells at the lowest domain count give the mesi/flat
+     ratio, what the directory model costs on top of exploration
+     itself; above 2.0 it fails the run.
+   -soft reports either timing gate as a warning only, for machines
+   without spare cores or with noisy neighbours.
 
-   Counterexamples are written as EXPLORE_CE_<algo>_<policy>.json,
-   replayable with sct_replay like any other finding. *)
+   Counterexamples are written once per (algorithm, policy), under the
+   first listed model, as EXPLORE_CE_<algo>_<policy>.json, replayable
+   with sct_replay like any other finding. *)
 
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer
@@ -46,17 +60,27 @@ let smoke_set =
     "sl-herlihy"; "sl-fraser"; "bst-tk"; "bst-howley";
   ]
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+(* The mesi/flat ceiling: the directory model may at most double the
+   wall-clock of exploring the same schedule space. *)
+let model_ceiling = 2.0
 
 type cell = {
   c_name : string;
   c_policy : Explorer.policy;
   c_domains : int;
+  c_model : string;
   c_report : Explorer.report;
   c_seconds : float;
-  c_violation : string option;
-  c_ce : string option;  (** counterexample file path, if a finding was saved *)
+  c_finding : Sct.finding option;
 }
+
+let violation c = Option.map (fun (f : Sct.finding) -> f.Sct.violation) c.c_finding
+
+let counterexample c =
+  Option.map (fun (f : Sct.finding) -> (f.Sct.minimized, f.Sct.min_violation)) c.c_finding
+
+let ce_file c =
+  Printf.sprintf "EXPLORE_CE_%s_%s.json" c.c_name (Explorer.policy_name c.c_policy)
 
 let () =
   let out_dir = ref "." in
@@ -66,7 +90,7 @@ let () =
   let seed = ref 1 in
   let pct_depth = ref 3 in
   let swarm_seeds = ref 4 in
-  let model = ref Ascy_mem.Models.flat in
+  let models = ref [ Ascy_mem.Models.flat ] in
   let threshold = ref 2.0 in
   let soft = ref false in
   let smoke = ref false in
@@ -74,7 +98,7 @@ let () =
     Cli.parse ~prog:"ascy_explore"
       ~usage:
         "usage: ascy_explore [-out DIR] [-domains LIST] [-policy LIST] [-budget N]\n\
-        \                    [-seed N] [-pct-depth N] [-swarm-seeds N] [-model NAME]\n\
+        \                    [-seed N] [-pct-depth N] [-swarm-seeds N] [-model LIST]\n\
         \                    [-smoke] [-threshold X] [-soft] [NAME ...]"
       [
         Cli.out_dir out_dir;
@@ -88,15 +112,27 @@ let () =
         Cli.value "-pct-depth" (Cli.int ~min:1) pct_depth "N  PCT bug depth (default 3)";
         Cli.value "-swarm-seeds" (Cli.int ~min:1) swarm_seeds
           "N  swarm seeds sharing the budget (default 4)";
-        Cli.model_flag model;
+        Cli.value "-model" (Cli.list Cli.model) models
+          ("LIST  comma-separated coherence models: " ^ String.concat "|" Ascy_mem.Models.names
+         ^ " (default flat)");
         ("-smoke", Arg.Set smoke, " explore the CI cross-section instead of the whole registry");
         Cli.value "-threshold" Cli.pos_float threshold
           "X  minimum exhaustive speedup at the highest domain count (default 2.0)";
-        ("-soft", Arg.Set soft, " report a speedup below -threshold as a warning only");
+        ( "-soft",
+          Arg.Set soft,
+          Printf.sprintf
+            " report a speedup below -threshold or a mesi/flat ratio above %.1f as a warning only"
+            model_ceiling );
       ]
   in
-  let model_name = Sim.model_name_of !model in
-  let model = !model in
+  (* first occurrence wins: the first listed model writes the counterexamples *)
+  let models =
+    List.fold_left
+      (fun acc m ->
+        let n = Sim.model_name_of m in
+        if List.mem_assoc n acc then acc else acc @ [ (n, m) ])
+      [] !models
+  in
   let entries = Cli.algorithms (if names = [] && !smoke then smoke_set else names) in
   let policies =
     List.map
@@ -106,93 +142,91 @@ let () =
   in
   let domain_counts = List.sort_uniq compare !domain_counts in
   Printf.printf
-    "exploration matrix: %d algorithms x %d policies x domains {%s}, model %s, budget %d\n\n"
+    "exploration matrix: %d algorithms x %d policies x domains {%s} x models {%s}, budget %d\n\n"
     (List.length entries) (List.length policies)
     (String.concat "," (List.map string_of_int domain_counts))
-    model_name !budget;
-  Printf.printf "%-14s %-10s %7s %9s %9s %8s %10s  %s\n" "name" "policy" "domains"
+    (String.concat "," (List.map fst models))
+    !budget;
+  Printf.printf "%-14s %-10s %7s %-5s %9s %9s %8s %10s  %s\n" "name" "policy" "domains" "model"
     "schedules" "steps" "seconds" "scheds/s" "verdict";
   let hard_fails = ref [] in
   let warnings = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> hard_fails := s :: !hard_fails) fmt in
   let cells =
     List.concat_map
       (fun (e : Registry.entry) ->
+        let spec = Sct.adversarial_spec e.Registry.name in
         List.concat_map
           (fun policy ->
-            List.map
+            List.concat_map
               (fun domains ->
-                let t0 = Unix.gettimeofday () in
-                let finding, report =
-                  Sct.explore ~mode:Explorer.Dpor ~model ~policy ~domains
-                    (Sct.adversarial_spec e.Registry.name)
-                in
-                let seconds = Unix.gettimeofday () -. t0 in
-                let violation =
-                  Option.map (fun (f : Sct.finding) -> f.Sct.violation) finding
-                in
-                let ce =
-                  match finding with
-                  | None -> None
-                  | Some f ->
-                      (* first domain count writes the canonical file;
-                         later ones write beside it and must match bytes *)
-                      let base =
-                        Printf.sprintf "EXPLORE_CE_%s_%s.json" e.Registry.name
-                          (Explorer.policy_name policy)
-                      in
-                      let canonical = Filename.concat !out_dir base in
-                      let path =
-                        if Sys.file_exists canonical then canonical ^ ".check" else canonical
-                      in
-                      Sct.save_finding ~model ~path ~prefix:f.Sct.minimized
-                        ~violation:f.Sct.min_violation (Sct.adversarial_spec e.Registry.name);
-                      if path <> canonical then begin
-                        if read_file path <> read_file canonical then
-                          hard_fails :=
-                            Printf.sprintf
-                              "%s/%s: counterexample differs at %d domains (vs %s)"
-                              e.Registry.name (Explorer.policy_name policy) domains base
-                            :: !hard_fails;
-                        Sys.remove path
-                      end;
-                      Some base
-                in
-                Printf.printf "%-14s %-10s %7d %9d %9d %8.2f %10.0f  %s\n%!" e.Registry.name
-                  (Explorer.policy_name policy) domains report.Explorer.schedules
-                  report.Explorer.steps seconds
-                  (if seconds > 0. then float_of_int report.Explorer.schedules /. seconds
-                   else 0.)
-                  (match violation with Some v -> "FAIL: " ^ v | None -> "ok");
-                {
-                  c_name = e.Registry.name;
-                  c_policy = policy;
-                  c_domains = domains;
-                  c_report = report;
-                  c_seconds = seconds;
-                  c_violation = violation;
-                  c_ce = ce;
-                })
+                List.map
+                  (fun (model_name, model) ->
+                    let t0 = Unix.gettimeofday () in
+                    let finding, report =
+                      Sct.explore ~mode:Explorer.Dpor ~model ~policy ~domains spec
+                    in
+                    let c =
+                      {
+                        c_name = e.Registry.name;
+                        c_policy = policy;
+                        c_domains = domains;
+                        c_model = model_name;
+                        c_report = report;
+                        c_seconds = Unix.gettimeofday () -. t0;
+                        c_finding = finding;
+                      }
+                    in
+                    (* the (algorithm, policy) group's first cell writes the
+                       counterexample; the others are compared in memory *)
+                    if domains = List.hd domain_counts && model_name = fst (List.hd models) then
+                      Option.iter
+                        (fun (f : Sct.finding) ->
+                          Sct.save_finding ~model
+                            ~path:(Filename.concat !out_dir (ce_file c))
+                            ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation spec)
+                        finding;
+                    Printf.printf "%-14s %-10s %7d %-5s %9d %9d %8.2f %10.0f  %s\n%!" c.c_name
+                      (Explorer.policy_name policy) domains model_name report.Explorer.schedules
+                      report.Explorer.steps c.c_seconds
+                      (if c.c_seconds > 0. then
+                         float_of_int report.Explorer.schedules /. c.c_seconds
+                       else 0.)
+                      (match violation c with Some v -> "FAIL: " ^ v | None -> "ok");
+                    c)
+                  models)
               domain_counts)
           policies)
       entries
   in
-  (* verdicts must agree across domain counts for a fixed (algo, policy) *)
+  let where c = Printf.sprintf "%d domains/%s" c.c_domains c.c_model in
   List.iter
     (fun c ->
-      List.iter
-        (fun c' ->
-          if
-            c.c_name = c'.c_name && c.c_policy = c'.c_policy
-            && c.c_domains < c'.c_domains
-            && c.c_violation <> c'.c_violation
-          then
-            hard_fails :=
-              Printf.sprintf "%s/%s: verdict differs between %d and %d domains" c.c_name
-                (Explorer.policy_name c.c_policy) c.c_domains c'.c_domains
-              :: !hard_fails)
-        cells)
+      (* verdict and counterexample must not move along either axis *)
+      let r = List.find (fun r -> r.c_name = c.c_name && r.c_policy = c.c_policy) cells in
+      if violation c <> violation r then
+        fail "%s/%s: verdict differs at %s (vs %s)" c.c_name (Explorer.policy_name c.c_policy)
+          (where c) (where r)
+      else if counterexample c <> counterexample r then
+        fail "%s/%s: counterexample differs at %s (vs %s)" c.c_name
+          (Explorer.policy_name c.c_policy) (where c) (where r);
+      (* every model explores the same space; a finding at more than one
+         domain cancels siblings, so its counts are timing-dependent *)
+      let r =
+        List.find
+          (fun r -> r.c_name = c.c_name && r.c_policy = c.c_policy && r.c_domains = c.c_domains)
+          cells
+      in
+      let space c =
+        (c.c_report.Explorer.schedules, c.c_report.Explorer.steps, c.c_report.Explorer.complete)
+      in
+      if (c.c_domains = 1 || c.c_finding = None) && space c <> space r then
+        let s, n, k = space c and s', n', k' = space r in
+        fail "%s/%s at %d domains: %s explores %d schedules, %d steps, complete %b; %s %d, %d, %b"
+          c.c_name (Explorer.policy_name c.c_policy) c.c_domains c.c_model s n k r.c_model s' n'
+          k')
     cells;
-  (* randomized policies vs the exhaustive baseline (first domain count) *)
+  (* randomized policies vs the exhaustive baseline (first cell) *)
   List.iter
     (fun (e : Registry.entry) ->
       match
@@ -205,13 +239,10 @@ let () =
           List.iter
             (fun c ->
               if c.c_name = e.Registry.name && c.c_policy <> Explorer.Exhaustive then
-                match (base.c_violation, c.c_violation) with
+                match (violation base, violation c) with
                 | None, Some v ->
-                    hard_fails :=
-                      Printf.sprintf
-                        "%s: %s reports a violation exhaustive proved in-bounds clean: %s"
-                        c.c_name (Explorer.policy_name c.c_policy) v
-                      :: !hard_fails
+                    fail "%s: %s reports a violation exhaustive proved in-bounds clean: %s"
+                      c.c_name (Explorer.policy_name c.c_policy) v
                 | Some _, None ->
                     warnings :=
                       Printf.sprintf
@@ -221,17 +252,15 @@ let () =
                 | _ -> ())
             cells)
     entries;
+  let exhaustive p = List.filter (fun c -> c.c_policy = Explorer.Exhaustive && p c) cells in
+  let seconds = List.fold_left (fun a c -> a +. c.c_seconds) 0. in
   (* exhaustive parallel speedup: schedules/sec at max domains vs 1 *)
   let rate domains =
-    let picked =
-      List.filter
-        (fun c -> c.c_policy = Explorer.Exhaustive && c.c_domains = domains)
-        cells
-    in
+    let picked = exhaustive (fun c -> c.c_domains = domains) in
     let scheds =
       List.fold_left (fun a c -> a + c.c_report.Explorer.schedules) 0 picked
     in
-    let secs = List.fold_left (fun a c -> a +. c.c_seconds) 0. picked in
+    let secs = seconds picked in
     if secs > 0. && picked <> [] then Some (float_of_int scheds /. secs) else None
   in
   let speedup =
@@ -243,16 +272,25 @@ let () =
         | _ -> None)
     | _ -> None
   in
+  (* mesi/flat: the same exhaustive cells at the lowest domain count *)
+  let model_seconds name =
+    seconds (exhaustive (fun c -> c.c_model = name && c.c_domains = List.hd domain_counts))
+  in
+  let model_ratio =
+    if List.mem_assoc "mesi" models && model_seconds "flat" > 0. then
+      Some (model_seconds "mesi", model_seconds "flat")
+    else None
+  in
   let rows =
     List.map
       (fun c ->
         match
-          Sct.report_json ~policy:c.c_policy ~domains:c.c_domains ?violation:c.c_violation
+          Sct.report_json ~policy:c.c_policy ~domains:c.c_domains ?violation:(violation c)
             c.c_report
         with
         | J.Obj fields ->
             J.Obj
-              (("name", J.String c.c_name) :: fields
+              (("name", J.String c.c_name) :: ("model", J.String c.c_model) :: fields
               @ [
                   ("seconds", J.Float c.c_seconds);
                   ( "schedules_per_sec",
@@ -261,7 +299,7 @@ let () =
                          float_of_int c.c_report.Explorer.schedules /. c.c_seconds
                        else 0.) );
                   ( "counterexample",
-                    match c.c_ce with Some p -> J.String p | None -> J.Null );
+                    match c.c_finding with Some _ -> J.String (ce_file c) | None -> J.Null );
                 ])
         | _ -> assert false)
       cells
@@ -269,8 +307,8 @@ let () =
   let json =
     J.Obj
       [
-        ("schema_version", J.Int 1);
-        ("model", J.String model_name);
+        ("schema_version", J.Int 2);
+        ("models", J.List (List.map (fun (n, _) -> J.String n) models));
         ("budget", J.Int !budget);
         ("seed", J.Int !seed);
         ("algorithms", J.Int (List.length entries));
@@ -281,6 +319,11 @@ let () =
           | Some (dmax, s) ->
               J.Obj [ ("domains", J.Int dmax); ("schedules_per_sec_ratio", J.Float s) ]
           | None -> J.Null );
+        ( "model_ratio",
+          match model_ratio with
+          | Some (m, f) ->
+              J.Obj [ ("mesi_over_flat", J.Float (m /. f)); ("ceiling", J.Float model_ceiling) ]
+          | None -> J.Null );
         ("hard_fails", J.List (List.map (fun s -> J.String s) (List.rev !hard_fails)));
         ("warnings", J.List (List.map (fun s -> J.String s) (List.rev !warnings)));
         ("matrix", J.List rows);
@@ -290,19 +333,26 @@ let () =
   J.to_file path json;
   Printf.printf "\n[matrix -> %s]\n" path;
   List.iter (Printf.printf "warning: %s\n") (List.rev !warnings);
-  (match speedup with
-  | Some (dmax, s) ->
+  let gate ok fmt =
+    Printf.ksprintf
+      (fun msg ->
+        if not ok then
+          if !soft then Printf.printf "warning: %s (soft mode)\n" msg else fail "%s" msg)
+      fmt
+  in
+  Option.iter
+    (fun (dmax, s) ->
       Printf.printf "exhaustive schedules/sec at %d domains: %.2fx of 1 domain (threshold %.2fx)\n"
         dmax s !threshold;
-      if s < !threshold then
-        if !soft then
-          Printf.printf "warning: speedup %.2fx below threshold %.2fx (soft mode)\n" s !threshold
-        else begin
-          Printf.printf "FAIL: speedup %.2fx below threshold %.2fx\n" s !threshold;
-          hard_fails := Printf.sprintf "speedup %.2fx below threshold %.2fx" s !threshold
-                        :: !hard_fails
-        end
-  | None -> ());
+      gate (s >= !threshold) "speedup %.2fx below threshold %.2fx" s !threshold)
+    speedup;
+  Option.iter
+    (fun (m, f) ->
+      Printf.printf "exhaustive mesi: %.2fs   flat: %.2fs   mesi/flat: %.2fx (ceiling %.2fx)\n" m
+        f (m /. f) model_ceiling;
+      gate (m /. f <= model_ceiling) "mesi/flat %.2fx above ceiling %.2fx" (m /. f)
+        model_ceiling)
+    model_ratio;
   match List.rev !hard_fails with
   | [] -> print_endline "matrix consistent: verdicts and counterexamples agree across the board"
   | fails ->

@@ -32,9 +32,7 @@
    lib/, the tokens [Sim.run] and [Sim.with_sim] may appear only in
    [lib/harness/engine.ml], so that a knob added to [Engine.config]
    (model, faults, observers, race detection) reaches every harness.
-   [lib/analysis/ascy_check.ml] is whitelisted: it lives in
-   [ascy_analysis], which [ascy_harness] depends on, so it cannot call
-   [Engine] without inverting that layering.
+   There are no exceptions.
 
    Rule E — one command-line spine.  Under lib/, bin/ and examples/,
    [Sys.argv] and the output-channel openers ([open_out*],
@@ -80,8 +78,7 @@ let rule_b_dirs =
    multi-line commit *)
 let rule_c_whitelist = [ "lib/mem/backend/mem_native.ml"; "lib/mem/core/sim.ml" ]
 
-(* the engine, plus the one caller below it in the library order *)
-let rule_d_whitelist = [ "lib/harness/engine.ml"; "lib/analysis/ascy_check.ml" ]
+let engine = "lib/harness/engine.ml"
 
 let rule_e_whitelist = [ "lib/harness/cli.ml"; "lib/util/json.ml"; "bin/ascy_lint.ml" ]
 
@@ -345,8 +342,7 @@ let check_rule_d path text =
         "[%s] outside the engine — run simulated executions \
          through Ascy_harness.Engine (with_session/run) so every \
          engine knob applies; only %s may call it"
-        tok
-        (String.concat " and " rule_d_whitelist))
+        tok engine)
 
 let check_rule_e path text =
   check_tokens ~prefix:true path text
@@ -406,7 +402,7 @@ let () =
       in
       if in_rule_b_scope && not has_pragma then check_rule_b path text;
       if not (List.mem path rule_c_whitelist) then check_rule_c path text;
-      if not (List.mem path rule_d_whitelist) then check_rule_d path text)
+      if path <> engine then check_rule_d path text)
     lib;
   List.iter
     (fun path ->

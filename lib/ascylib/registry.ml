@@ -176,7 +176,7 @@ let async_of = function
     "close to those of its sequential counterpart").  Families whose
     baselines are leaner (a linked-list insert is two stores) tolerate a
     proportionally larger factor than the write-richer trees.  Checked by
-    [Ascy_analysis.Ascy_check]; {!entry.budget} overrides per entry. *)
+    [Ascy_harness.Ascy_check]; {!entry.budget} overrides per entry. *)
 let ascy4_budget = function
   | Linked_list -> 6.0
   | Hash_table -> 5.0

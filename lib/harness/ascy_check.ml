@@ -36,6 +36,7 @@ module P = Ascy_platform.Platform
 module J = Ascy_util.Json
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
+module Profile = Ascy_analysis.Profile
 
 (* ------------------------------------------------------------------ *)
 (* Profiling runs                                                      *)
@@ -94,7 +95,17 @@ let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
   Fun.protect
     ~finally:(fun () -> Ascy_core.Config.ssmem_threshold := saved)
     (fun () ->
-      Sim.with_sim ~seed:cfg.seed ~platform:P.xeon20 ~model ~nthreads:cfg.nthreads (fun sim ->
+      let col = Profile.create ~nthreads:cfg.nthreads in
+      (* prefill and warm-up run outside simulated time and notify no
+         observer, so the profiles see only the measured operations *)
+      Engine.with_session
+        {
+          (Engine.default ~platform:P.xeon20 ~nthreads:cfg.nthreads) with
+          seed = cfg.seed;
+          model;
+          observer = Some (Profile.observer col);
+        }
+        (fun session ->
           let t = M.create ~hint:(hint_for entry cfg) () in
           let rng0 = Ascy_util.Xorshift.create ((cfg.seed * 31) + 7) in
           let filled = ref 0 in
@@ -102,9 +113,7 @@ let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
             let k = 1 + Ascy_util.Xorshift.below rng0 cfg.key_range in
             if M.insert t k 0 then incr filled
           done;
-          Sim.warm sim;
-          let col = Profile.create ~nthreads:cfg.nthreads in
-          Sim.set_observer sim (Some (Profile.observer col));
+          Sim.warm session.Engine.sim;
           let body tid () =
             let rng = Ascy_util.Xorshift.create ((cfg.seed * 7919) + (tid * 104729) + 13) in
             for _ = 1 to cfg.ops_per_thread do
@@ -123,8 +132,7 @@ let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
               M.op_done t
             done
           in
-          ignore (Sim.run sim (Array.init cfg.nthreads body));
-          Sim.set_observer sim None;
+          ignore (Engine.run session (Array.init cfg.nthreads body));
           Profile.ops col))
 
 (* ------------------------------------------------------------------ *)

@@ -100,8 +100,8 @@ let keys_of spec =
 type outcome = { wedged : bool; violation : string option }
 
 (** Decision cap of a watchdog-armed run, however steadily operations
-    complete. *)
-let watchdog_max_steps = 200_000
+    complete.  Replay files cap their prefix at the same length. *)
+let watchdog_max_steps = Replay.max_prefix
 
 (** What a thread was about to do when it was listed runnable. *)
 let action_str = function

@@ -473,36 +473,3 @@ let exec_rand_task ?(skip_from = fun () -> max_int) ~bounds ~run task =
      done
    with Exit -> ());
   { rr_failure = !failure; rr_schedules = !nsched; rr_steps = !nsteps }
-
-(** [explore_policy ?mode ?bounds ~policy ~run ()] — the sequential
-    policy driver: [Exhaustive] delegates to {!explore}; a randomized
-    policy runs one default-policy probe and then the planned indices
-    in ascending order, stopping at the first failure.  Randomized
-    exploration never proves a space exhausted, so its report is always
-    marked incomplete. *)
-let explore_policy ?(mode = Dpor) ?(bounds = default_bounds) ~policy ~run () =
-  match policy with
-  | Exhaustive -> explore ~mode ~bounds ~run ()
-  | _ -> (
-      let probe_desc, probe_sched, probe_steps = probe_run ~bounds ~run in
-      match probe_desc with
-      | Some d ->
-          {
-            failure = Some { f_desc = d; f_schedule = probe_sched };
-            schedules = 1;
-            steps = probe_steps;
-            complete = false;
-          }
-      | None ->
-          let failure = ref None in
-          let nsched = ref 1 and nsteps = ref probe_steps in
-          List.iter
-            (fun task ->
-              if !failure = None then begin
-                let r = exec_rand_task ~bounds ~run task in
-                nsched := !nsched + r.rr_schedules;
-                nsteps := !nsteps + r.rr_steps;
-                match r.rr_failure with Some (_, f) -> failure := Some f | None -> ()
-              end)
-            (rand_plan ~policy ~probe_len:probe_steps);
-          { failure = !failure; schedules = !nsched; steps = !nsteps; complete = false })

@@ -295,10 +295,10 @@ let explore ?(mode = Explorer.Dpor) ?(bounds = Explorer.default_bounds)
     entry point: route a (policy, domains) configuration to the
     cheapest engine that honors it.  Single-domain exhaustive runs use
     the plain sequential explorer byte-identically (no task machinery,
-    no per-task budget semantics); single-domain randomized runs use
-    the sequential policy driver; everything else is partitioned. *)
+    no per-task budget semantics); everything else is partitioned — a
+    single-domain randomized run is the chunk plan executed inline in
+    ascending order, stopping at the first failure. *)
 let dispatch ?mode ?bounds ?(policy = Explorer.Exhaustive) ?(domains = 1) ~run () =
   match (policy, domains) with
   | Explorer.Exhaustive, d when d <= 1 -> Explorer.explore ?mode ?bounds ~run ()
-  | _, d when d <= 1 -> Explorer.explore_policy ?mode ?bounds ~policy ~run ()
   | _ -> (explore ?mode ?bounds ~policy ~domains ~run ()).p_report

@@ -96,6 +96,12 @@ exception Bad_schedule of string
 
 let fail msg = raise (Bad_schedule msg)
 
+(** The longest decision prefix a schedule file may carry.  It is also
+    the decision cap of a watchdog-armed run
+    ([Ascy_harness.Sct_run.watchdog_max_steps]), the longest run any
+    finding records, so every saved counterexample loads. *)
+let max_prefix = 200_000
+
 let fault_of_json j =
   let int k = match J.member k j with Some (J.Int v) -> v | _ -> fail "malformed fault event" in
   let at = int "at" in
@@ -136,10 +142,16 @@ let of_json j =
   let prefix =
     match J.member "prefix" j with
     | Some (J.List chunks) ->
+        (* summed against the cap before anything is allocated *)
+        let total = ref 0 in
         Scheduler.of_chunks
           (List.map
              (function
-               | J.List [ J.Int tid; J.Int len ] when tid >= 0 && len >= 0 -> (tid, len)
+               | J.List [ J.Int tid; J.Int len ] when tid >= 0 && len >= 0 ->
+                   if len > max_prefix - !total then
+                     fail (Printf.sprintf "prefix longer than %d decisions" max_prefix);
+                   total := !total + len;
+                   (tid, len)
                | _ -> fail "malformed prefix chunk")
              chunks)
     | _ -> fail "missing prefix"

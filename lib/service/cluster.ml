@@ -186,6 +186,17 @@ module Make (Mem : Ascy_mem.Memory.S) (A : Ascy_core.Set_intf.MAKER) = struct
   (* Client side                                                       *)
   (* ---------------------------------------------------------------- *)
 
+  (* Client [tid]'s sessions, dealt round-robin (tid, tid + nclients,
+     ...), each as its seeded request stream. *)
+  let client_sessions sc ~seed tid =
+    let n = ref 0 in
+    for s = 0 to sc.Scenario.sessions - 1 do
+      if s mod sc.Scenario.nclients = tid then incr n
+    done;
+    Array.init !n (fun i ->
+        let sid = tid + (i * sc.Scenario.nclients) in
+        X.create ((seed * 2654435761) + (sid * 40503) + 17))
+
   (** Load-generator thread [tid]: multiplexes its share of the session
       population round-robin (every session advances one request per
       round, like an event-loop frontend), routes each request, and
@@ -193,16 +204,7 @@ module Make (Mem : Ascy_mem.Memory.S) (A : Ascy_core.Set_intf.MAKER) = struct
       closes every shard. *)
   let client_body t ~knobs ~seed tid () =
     let sc = t.sc in
-    let sessions =
-      (* sessions are dealt round-robin: tid, tid + nclients, ... *)
-      let n = ref 0 in
-      for s = 0 to sc.Scenario.sessions - 1 do
-        if s mod sc.Scenario.nclients = tid then incr n
-      done;
-      Array.init !n (fun i ->
-          let sid = tid + (i * sc.Scenario.nclients) in
-          X.create ((seed * 2654435761) + (sid * 40503) + 17))
-    in
+    let sessions = client_sessions sc ~seed tid in
     for round = 0 to sc.Scenario.ops_per_session - 1 do
       Array.iter
         (fun rng ->
@@ -248,15 +250,7 @@ module Make (Mem : Ascy_mem.Memory.S) (A : Ascy_core.Set_intf.MAKER) = struct
     let r = t.resil in
     let m = t.c_metrics.(tid) in
     let acked_log = t.c_acked.(tid) in
-    let sessions =
-      let n = ref 0 in
-      for s = 0 to sc.Scenario.sessions - 1 do
-        if s mod sc.Scenario.nclients = tid then incr n
-      done;
-      Array.init !n (fun i ->
-          let sid = tid + (i * sc.Scenario.nclients) in
-          X.create ((seed * 2654435761) + (sid * 40503) + 17))
-    in
+    let sessions = client_sessions sc ~seed tid in
     let jrng = X.split (X.create ((seed * 2654435761) + (tid * 48611) + 29)) in
     let breakers =
       match r.Resilience.breaker with
@@ -551,8 +545,6 @@ module Make (Mem : Ascy_mem.Memory.S) (A : Ascy_core.Set_intf.MAKER) = struct
         if tid < nc then client t ~knobs ~seed tid
         else if tid < nc + ns then primary_body t t.shards.(tid - nc) ~knobs
         else standby_body t t.shards.(tid - nc - ns) ~knobs)
-
-  let primary_tid sc sid = sc.Scenario.nclients + sid
 
   (* ---------------------------------------------------------------- *)
   (* Post-run oracles                                                  *)

@@ -21,7 +21,7 @@ module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 module Race = Ascy_analysis.Race
-module Check = Ascy_analysis.Ascy_check
+module Check = Ascy_harness.Ascy_check
 module Registry = Ascylib.Registry
 module Sct = Ascy_harness.Sct_run
 module Explorer = Ascy_sct.Explorer

@@ -487,6 +487,16 @@ let test_malformed_replay_files () =
           output_string oc (String.sub text 0 (String.length text / 2))));
   rejects "bad JSON escape" (fun () ->
       Out_channel.with_open_bin path (fun oc -> output_string oc "{\"kind\": \"\\uZZZZ\"}"));
+  (* prefix lengths are capped before the schedule is allocated *)
+  let with_prefix chunks () =
+    Out_channel.with_open_bin path (fun oc ->
+        Printf.fprintf oc
+          "{\"version\": 1, \"kind\": \"ascy-sct-schedule\", \"prefix\": %s, \"meta\": %s}" chunks
+          (J.to_string (J.Obj meta)))
+  in
+  rejects "oversized prefix" (with_prefix "[[0, 1000000000000]]");
+  rejects "prefix length overflow"
+    (with_prefix "[[0, 4611686018427387903], [1, 4611686018427387903]]");
   rejects "unknown platform" (save (with_meta "platform" (J.String "Xeon99")));
   rejects "unknown algorithm" (save (with_meta "algorithm" (J.String "ll-nope")));
   rejects "fault on an unknown thread" (save ~faults:[ crash ~at:3 7 ] meta);
