@@ -3,7 +3,9 @@
    The paper reports that TSX-style tuning moves throughput by ±5% on a
    4-core Haswell.  We reproduce the experiment on the Haswell model:
    CLHT-LB with transactional lock elision on its update path versus the
-   plain lock path, across update rates. *)
+   plain lock path, across update rates.  The switch is
+   [Ascy_hashtable.Clht_lb.htm], read when the registry maker builds the
+   table. *)
 
 open Ascylib
 module W = Ascy_harness.Workload
@@ -14,9 +16,9 @@ module Res = Ascy_harness.Results
 let clht = Registry.by_name "ht-clht-lb"
 
 let run_one ~htm ~rate ~nthreads =
-  Ascy_core.Config.clht_htm := htm;
+  Ascy_hashtable.Clht_lb.htm := htm;
   Fun.protect
-    ~finally:(fun () -> Ascy_core.Config.clht_htm := false)
+    ~finally:(fun () -> Ascy_hashtable.Clht_lb.htm := false)
     (fun () ->
       let wl = W.make ~initial:(Bench_config.tree_elems 2048) ~update_pct:rate () in
       R.run ~model:Bench_config.model clht.Registry.maker ~platform:Ascy_platform.Platform.haswell ~nthreads ~workload:wl

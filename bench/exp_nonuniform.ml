@@ -27,8 +27,7 @@ let run_custom name ~nthreads ~initial ~body_gen =
   let entry = Registry.by_name name in
   let module A = (val entry.Registry.maker) in
   let module M = A (Sim.Mem) in
-  let cfg = { (Engine.default ~platform:P.xeon20 ~nthreads) with Engine.seed = 3 } in
-  Engine.with_session cfg (fun session ->
+  Engine.with_session (Engine.default ~platform:P.xeon20 ~nthreads) (fun session ->
       let sim = session.Engine.sim in
       let t = M.create ~hint:initial () in
       let rng0 = Ascy_util.Xorshift.create 17 in

@@ -3,7 +3,9 @@
    Tilera, where large garbage volumes thrash the tiny TLBs and the
    threshold is lowered to 128.  We sweep the threshold on the Tilera
    model with an update-heavy lazy list and report throughput plus
-   reclamation statistics. *)
+   reclamation statistics.  The threshold is [Ascy_ssmem.Ssmem.gc_threshold],
+   which every structure's allocator reads when the registry maker
+   builds it. *)
 
 open Ascylib
 module W = Ascy_harness.Workload
@@ -18,10 +20,10 @@ let run () =
   let rows =
     List.map
       (fun threshold ->
-        Ascy_core.Config.ssmem_threshold := threshold;
+        Ascy_ssmem.Ssmem.gc_threshold := threshold;
         let r =
           Fun.protect
-            ~finally:(fun () -> Ascy_core.Config.ssmem_threshold := 512)
+            ~finally:(fun () -> Ascy_ssmem.Ssmem.gc_threshold := 512)
             (fun () ->
               R.run ~model:Bench_config.model entry.Registry.maker ~platform:Ascy_platform.Platform.tilera ~nthreads:20
                 ~workload:wl ~ops_per_thread:(4 * Bench_config.ops_per_thread) ())

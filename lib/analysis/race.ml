@@ -136,11 +136,3 @@ let observer t : Sim.observer =
 let races t = List.rev t.races
 
 let total t = t.count
-
-let race_json r =
-  Ascy_util.Json.Obj
-    [
-      ("line", Ascy_util.Json.Int r.r_line);
-      ("tid_prev", Ascy_util.Json.Int r.r_tid_prev);
-      ("tid", Ascy_util.Json.Int r.r_tid);
-    ]

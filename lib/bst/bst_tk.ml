@@ -47,7 +47,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     let s = mk_router inf1 (mk_leaf inf1 None) (mk_leaf inf2 None) in
     {
       root = mk_router inf2 (Router s) (mk_leaf inf2 None);
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let side_for (r : 'v router) k : Tp.side = if k < r.key then Tp.L else Tp.R

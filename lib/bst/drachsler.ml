@@ -68,7 +68,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       head;
       tail;
       rof = read_only_fail;
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let info = function Node n -> n | Nil -> assert false

@@ -69,7 +69,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     let s = mk_internal inf1 (mk_leaf inf1 None) (mk_leaf inf2 None) in
     {
       root = mk_internal inf2 (Internal s) (mk_leaf inf2 None);
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let child_cell (n : 'v internal) k = if k < n.key then n.left else n.right

@@ -79,7 +79,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
 
   (* root sentinel: routes every user key to its left *)
   let create ?hint:_ ?read_only_fail:_ () =
-    { root = mk_info max_int None; ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold () }
+    { root = mk_info max_int None; ssmem = S.create () }
 
   (* Equal keys route right (tombstones are routers). *)
   let child (n : 'v info) k = if k < n.key then n.left else n.right

@@ -48,11 +48,10 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     let s = mk_router inf1 (mk_leaf inf1 None) (mk_leaf inf2 None) in
     {
       root = mk_router inf2 (Router s) (mk_leaf inf2 None);
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let child_cell (r : 'v router) k = if k < r.key then r.left else r.right
-  let sibling_cell (r : 'v router) k = if k < r.key then r.right else r.left
 
   (* Optimistic parse: grandparent, parent, and the leaf's edge as read. *)
   let seek t k =

@@ -82,7 +82,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     {
       root = mk_router inf2 (Router s) (mk_leaf inf2 None);
       rof = read_only_fail;
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let go_left r k = k < r.key

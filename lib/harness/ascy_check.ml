@@ -89,11 +89,11 @@ let hint_for (entry : Registry.entry) cfg =
 let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
   let module A = (val entry.Registry.maker : Ascy_core.Set_intf.MAKER) in
   let module M = A (Sim.Mem) in
-  let saved = !Ascy_core.Config.ssmem_threshold in
+  let saved = !Ascy_ssmem.Ssmem.gc_threshold in
   (* keep epoch-GC passes (batched, not per-op) out of the op profiles *)
-  Ascy_core.Config.ssmem_threshold := 1_000_000;
+  Ascy_ssmem.Ssmem.gc_threshold := 1_000_000;
   Fun.protect
-    ~finally:(fun () -> Ascy_core.Config.ssmem_threshold := saved)
+    ~finally:(fun () -> Ascy_ssmem.Ssmem.gc_threshold := saved)
     (fun () ->
       let col = Profile.create ~nthreads:cfg.nthreads in
       (* prefill and warm-up run outside simulated time and notify no
@@ -101,7 +101,6 @@ let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
       Engine.with_session
         {
           (Engine.default ~platform:P.xeon20 ~nthreads:cfg.nthreads) with
-          seed = cfg.seed;
           model;
           observer = Some (Profile.observer col);
         }

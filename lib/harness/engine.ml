@@ -10,7 +10,11 @@
     every knob of a simulated execution, {!with_session} turns it into
     an installed simulation with the requested instrumentation attached,
     and {!run} executes thread bodies under the configured scheduler and
-    fault plan.
+    fault plan.  Algorithm-level event counts ({!Ascy_mem.Event}) come
+    from the session's simulator; natively [Memory.S.emit] is a no-op.
+    Exploration policy and worker domains are not session knobs: the
+    drivers that explore ({!Sct_run.explore}, [bin/ascy_explore]) take
+    them directly.
 
     The config is also where the pluggable coherence model surfaces in
     the harness: [model] selects {!Ascy_mem.Models.mesi} (default,
@@ -26,40 +30,26 @@ module Race = Ascy_analysis.Race
 type config = {
   platform : P.t;
   nthreads : int;
-  seed : int;  (** simulator RNG seed (jitter, nothing else) *)
-  jitter : int;  (** max per-access schedule jitter, cycles; 0 = off *)
   trace_capacity : int;  (** per-thread trace-ring entries; 0 = rings off *)
   model : Sim.model;  (** coherence cost model *)
   scheduler : Sim.scheduler option;  (** [None] = free-running (smallest clock) *)
   faults : Sim.fault_event list;  (** injected fault plan; [[]] = none *)
   races : bool;  (** attach a happens-before race detector *)
   observer : Sim.observer option;  (** extra analysis observer *)
-  policy : Ascy_sct.Explorer.policy;
-      (** how the exploration drivers ({!Sct_run.explore},
-          {!Fault_run.explore_crash}, [bin/ascy_explore]) pick
-          schedules; {!with_session} itself runs one execution and
-          ignores it *)
-  domains : int;
-      (** worker domains those drivers partition exploration across;
-          1 = sequential (the byte-identical historical path) *)
 }
 
-(** The baseline configuration: free-running, MESI, seed 1, no faults,
-    no instrumentation — what {!Sim_run} historically did. *)
+(** The baseline configuration: free-running, MESI, no faults, no
+    instrumentation — what {!Sim_run} historically did. *)
 let default ~platform ~nthreads =
   {
     platform;
     nthreads;
-    seed = 1;
-    jitter = 0;
     trace_capacity = 0;
     model = Sim.default_model;
     scheduler = None;
     faults = [];
     races = false;
     observer = None;
-    policy = Ascy_sct.Explorer.Exhaustive;
-    domains = 1;
   }
 
 (** One installed simulation plus the instrumentation the config asked
@@ -76,8 +66,8 @@ type session = {
     simulated time), attaches the race detector and/or extra observer,
     runs [f session], and uninstalls everything. *)
 let with_session cfg f =
-  Sim.with_sim ~seed:cfg.seed ~jitter:cfg.jitter ~trace_capacity:cfg.trace_capacity
-    ~model:cfg.model ~platform:cfg.platform ~nthreads:cfg.nthreads (fun sim ->
+  Sim.with_sim ~trace_capacity:cfg.trace_capacity ~model:cfg.model ~platform:cfg.platform
+    ~nthreads:cfg.nthreads (fun sim ->
       let race = if cfg.races then Some (Race.create ~nthreads:cfg.nthreads) else None in
       let observer =
         match (race, cfg.observer) with

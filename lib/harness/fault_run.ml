@@ -25,7 +25,6 @@
     [bin/ascy_chaos] and CI. *)
 
 module Sim = Ascy_mem.Sim
-module Explorer = Ascy_sct.Explorer
 module Scheduler = Ascy_sct.Scheduler
 module Registry = Ascylib.Registry
 module Ascy = Ascy_core.Ascy
@@ -60,12 +59,14 @@ let run_spec ?on_step ?(watchdog = default_watchdog) ?check ?model ~faults spec 
 (* Crash-point discovery                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Decision indices at which crashing [victim] catches it right after a
-    store or CAS commit — mid-critical-section for lock-based designs
-    (the acquire is an RMW), mid-protocol for lock-free ones.  Derived
-    from a fault-free probe run under the same (default) schedule, so
-    the indices are exact for subsequent fault runs. *)
-let crash_candidates ?(max_candidates = 48) ?model ~victim (spec : Sct_run.spec) =
+(** Decision indices (the first 48) at which crashing [victim] catches
+    it right after a store or CAS commit — mid-critical-section for
+    lock-based designs (the acquire is an RMW), mid-protocol for
+    lock-free ones.  Derived from a fault-free probe run under the same
+    (default) schedule, so the indices are exact for subsequent fault
+    runs. *)
+let crash_candidates ?model ~victim (spec : Sct_run.spec) =
+  let max_candidates = 48 in
   let cands = ref [] in
   let on_step ~step ~runnable ~chosen =
     if chosen = victim && List.length !cands < max_candidates then
@@ -119,8 +120,7 @@ let matches r =
     it; observe.  For declared-blocking designs the sweep stops at the
     first wedge (the expected outcome); declared-non-blocking designs
     must survive every placement, so all are run. *)
-let classify ?(watchdog = default_watchdog) ?(max_candidates = 48) ?(stall = 500) ?model
-    (entry : Registry.entry) =
+let classify ?(watchdog = default_watchdog) ?model (entry : Registry.entry) =
   let spec = chaos_spec entry.Registry.name in
   let victim = 0 in
   let declared = entry.Registry.progress in
@@ -129,7 +129,7 @@ let classify ?(watchdog = default_watchdog) ?(max_candidates = 48) ?(stall = 500
      reading it back could spin on the held lock); asynchronized
      structures are incorrect under any concurrency by design *)
   let check_crash = declared = Ascy.Non_blocking && not entry.Registry.asynchronized in
-  let cands = crash_candidates ~max_candidates ?model ~victim spec in
+  let cands = crash_candidates ?model ~victim spec in
   let witness = ref None in
   let oracle_failures = ref [] in
   let probes = ref 0 in
@@ -149,6 +149,7 @@ let classify ?(watchdog = default_watchdog) ?(max_candidates = 48) ?(stall = 500
   let observed = if !witness <> None then Ascy.Blocking else Ascy.Non_blocking in
   (* a stall is finite: everyone must finish, and with no corpse at the
      end the exact oracles are sound for every non-asynchronized entry *)
+  let stall = 500 (* decisions *) in
   let stall_at = match cands with d :: _ -> d | [] -> 1 in
   let stall_plan = [ { Sim.fe_at = stall_at; fe_tid = victim; fe_fault = Sim.F_stall stall } ] in
   let stall_out =
@@ -166,28 +167,3 @@ let classify ?(watchdog = default_watchdog) ?(max_candidates = 48) ?(stall = 500
     stall_violation = stall_out.Sct_run.violation;
     stall_plan;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Exploring fault points × schedules                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Product exploration: for each candidate crash decision, explore the
-    schedule space with that crash injected — the SCT explorer placing
-    interleavings {e and} the fault systematically.  The oracle is the
-    progress watchdog.  Returns the first (plan, finding) that wedges,
-    with the finding's schedule replayable alongside the plan.
-    [policy]/[domains] select the exploration policy and worker domains
-    exactly as in {!Sct_run.explore} (default: sequential exhaustive
-    DFS, byte-identical to the historical behavior). *)
-let explore_crash ?mode ?(bounds = Explorer.default_bounds) ?(watchdog = 1_000)
-    ?(max_candidates = 8) ?model ?policy ?domains ~victim (spec : Sct_run.spec) =
-  let cands = crash_candidates ~max_candidates ?model ~victim spec in
-  List.find_map
-    (fun d ->
-      let faults = [ { Sim.fe_at = d; fe_tid = victim; fe_fault = Sim.F_crash } ] in
-      let run ~sched =
-        (Sct_run.run ~faults ~watchdog ~check:false ?model (Sct_run.maker_of spec) spec ~sched).violation
-      in
-      let report = Ascy_sct.Par_explore.dispatch ?mode ~bounds ?policy ?domains ~run () in
-      match report.Explorer.failure with Some f -> Some (faults, f) | None -> None)
-    cands

@@ -23,25 +23,31 @@ let run ?(seed = 1) (module A : Ascy_core.Set_intf.MAKER) ~nthreads ~(workload :
   done;
   let stop = Atomic.make false in
   let go = Atomic.make false in
+  let ready = Atomic.make 0 in
   let counts = Array.make nthreads 0 in
   let body tid () =
     let rng = Ascy_util.Xorshift.create ((seed * 7919) + (tid * 104729) + 13) in
+    Atomic.incr ready;
     while not (Atomic.get go) do
       Domain.cpu_relax ()
     done;
-    let n = ref 0 in
-    while not (Atomic.get stop) do
+    (* at least one operation per domain, however late it is scheduled *)
+    let rec loop n =
       let k = Workload.pick_key workload rng in
       (match Workload.pick_op workload rng with
       | Workload.Search -> ignore (M.search t k)
       | Workload.Insert -> ignore (M.insert t k tid)
       | Workload.Remove -> ignore (M.remove t k));
       M.op_done t;
-      incr n
-    done;
-    counts.(tid) <- !n
+      if Atomic.get stop then n + 1 else loop (n + 1)
+    in
+    counts.(tid) <- loop 0
   in
   let domains = Array.init nthreads (fun tid -> Domain.spawn (body tid)) in
+  (* the clock starts once every domain is running *)
+  while Atomic.get ready < nthreads do
+    Unix.sleepf 1e-4
+  done;
   let t0 = Unix.gettimeofday () in
   Atomic.set go true;
   Unix.sleepf duration;

@@ -68,17 +68,18 @@ let histogram_json h =
         ("p99", J.Float p.(4));
       ]
 
-(** count/mean plus an arbitrary percentile set — the service layer's
-    p50/p99/p999 sojourn and service-time rows ([Ascy_service]).  The
-    fixed five-percentile figure layout above keeps using
-    {!histogram_json}. *)
-let percentile_summary_json ?(ps = [ (50.0, "p50"); (99.0, "p99"); (99.9, "p999") ]) h =
+(** count/mean plus p50/p99/p999 — the service layer's sojourn and
+    service-time rows ([Ascy_service]).  The fixed five-percentile
+    figure layout above keeps using {!histogram_json}. *)
+let percentile_summary_json h =
   if H.count h = 0 then J.Null
   else
     J.Obj
       (("count", J.Int (H.count h))
       :: ("mean", J.Float (H.mean h))
-      :: List.map (fun (p, name) -> (name, J.Float (H.percentile h p))) ps)
+      :: List.map
+           (fun (p, name) -> (name, J.Float (H.percentile h p)))
+           [ (50.0, "p50"); (99.0, "p99"); (99.9, "p999") ])
 
 let events_json events =
   J.Obj (List.init Ascy_mem.Event.count (fun i -> (Ascy_mem.Event.name i, J.Int events.(i))))

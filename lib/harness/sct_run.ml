@@ -74,17 +74,6 @@ let adversarial_spec name =
       |]
     ()
 
-(** Derive a per-thread script from a {!Workload} the same way
-    {!Sim_run} draws operations — per-thread RNGs, schedule-independent
-    — so fuzz-style workloads can be explored systematically. *)
-let script_of_workload ~(workload : Workload.t) ~nthreads ~ops_per_thread ~seed =
-  Array.init nthreads (fun tid ->
-      let rng = Ascy_util.Xorshift.create ((seed * 7919) + (tid * 104729) + 13) in
-      Array.init ops_per_thread (fun _ ->
-          let k = Workload.pick_key workload rng in
-          let op = Workload.pick_op workload rng in
-          (op, k)))
-
 (** The registry implementation a spec names. *)
 let maker_of spec = (Ascylib.Registry.by_name spec.name).Ascylib.Registry.maker
 
@@ -471,9 +460,10 @@ let save_finding ?(faults = []) ?(races = false) ?watchdog ?(check = true)
     stored expected violation and each replay's violation (all identical
     when the reproduction is deterministic).  A file with a recorded
     [watchdog] replays under the watchdog; one without replays under the
-    SCT step budget [max_steps].  Raises {!Ascy_sct.Replay.Bad_schedule}
-    on any file that does not describe a run this build can replay. *)
-let replay_file ?(times = 2) ?(max_steps = Explorer.default_bounds.Explorer.max_steps) path =
+    default SCT step budget ({!Ascy_sct.Explorer.default_bounds}).
+    Raises {!Ascy_sct.Replay.Bad_schedule} on any file that does not
+    describe a run this build can replay. *)
+let replay_file ?(times = 2) path =
   let bad msg = raise (Replay.Bad_schedule msg) in
   let prefix, faults, meta = Replay.load path in
   let spec = spec_of_meta meta in
@@ -510,6 +500,8 @@ let replay_file ?(times = 2) ?(max_steps = Explorer.default_bounds.Explorer.max_
         (run ~faults ~races ~model ~watchdog ~check:(bool "oracles" true) maker spec
            ~sched:(Scheduler.prefix_scheduler ~prefix ()))
           .violation
-    | None -> check_prefix ~faults ~races ~model maker spec ~max_steps prefix
+    | None ->
+        check_prefix ~faults ~races ~model maker spec
+          ~max_steps:Explorer.default_bounds.Explorer.max_steps prefix
   in
   (spec, faults, expected, List.init times (fun _ -> replay ()))

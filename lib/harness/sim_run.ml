@@ -46,7 +46,6 @@ type result = {
 
 (* Trace op codes used with Sim.Trace.op_start/op_end. *)
 let op_code = function Workload.Search -> 0 | Workload.Insert -> 1 | Workload.Remove -> 2
-let op_name = function 0 -> "search" | 1 -> "insert" | 2 -> "remove" | c -> string_of_int c
 
 (** [run ?seed ?latency ?history ?trace_capacity ?model (module A)
     ~platform ~nthreads ~workload ~ops_per_thread] executes the workload
@@ -63,7 +62,7 @@ let run ?(seed = 1) ?(latency = false) ?history ?(trace_capacity = 0)
     ?(model = Sim.default_model) (module A : Ascy_core.Set_intf.MAKER) ~platform ~nthreads
     ~(workload : Workload.t) ~ops_per_thread () =
   let module M = A (Sim.Mem) in
-  let cfg = { (Engine.default ~platform ~nthreads) with seed; trace_capacity; model } in
+  let cfg = { (Engine.default ~platform ~nthreads) with trace_capacity; model } in
   Engine.with_session cfg (fun session ->
       let sim = session.Engine.sim in
       (* build + prefill happen outside simulated time *)

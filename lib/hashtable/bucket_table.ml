@@ -18,11 +18,7 @@ module Make (Mem : Ascy_mem.Memory.S) (L : Ascy_core.Set_intf.SET) = struct
     "ht-" ^ base
 
   let create ?hint ?read_only_fail () =
-    let n =
-      Hash.pow2_at_least
-        (match hint with Some h -> max 1 h | None -> !Ascy_core.Config.default_buckets)
-        1
-    in
+    let n = Hash.buckets hint in
     {
       buckets = Array.init n (fun _ -> L.create ?read_only_fail ());
       mask = n - 1;

@@ -14,6 +14,11 @@
     are separate [Atomic.t] cells (OCaml exposes no cache-line control)
     but the algorithm is unchanged. *)
 
+(** Use HTM-style lock elision in updates.  Read at [create]; only
+    effective where the memory layer provides transactions, i.e. the
+    simulator ([bench/exp_htm.ml] turns it on). *)
+let htm = ref false
+
 module Make (Mem : Ascy_mem.Memory.S) = struct
   module L = Ascy_locks.Ttas.Make (Mem)
   module E = Ascy_mem.Event
@@ -49,13 +54,11 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     { buckets = Array.init n (fun _ -> mk_bucket ()); mask = n - 1; expands = Mem.make_fresh 0 }
 
   let create ?hint ?read_only_fail:_ () =
-    let n =
-      Hash.pow2_at_least (match hint with Some h -> max 1 h | None -> !Ascy_core.Config.default_buckets) 1
-    in
+    let n = Hash.buckets hint in
     {
       tbl = Mem.make_fresh (mk_table n);
       resize_lock = L.create_fresh ();
-      htm = !Ascy_core.Config.clht_htm;
+      htm = !htm;
     }
 
   (* Atomic snapshot of slot [i]: read the value, then re-check that the

@@ -71,9 +71,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     }
 
   let create ?hint ?read_only_fail:_ () =
-    let n =
-      Hash.pow2_at_least (match hint with Some h -> max 1 h | None -> !Ascy_core.Config.default_buckets) 1
-    in
+    let n = Hash.buckets hint in
     { buckets = Array.init n (fun _ -> mk_bucket ()); mask = n - 1 }
 
   let head t k = t.buckets.(Hash.bucket k t.mask)

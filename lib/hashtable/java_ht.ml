@@ -36,7 +36,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
   let mk_table n = Array.init n (fun _ -> Mem.make_fresh Nil)
 
   let create ?hint ?(read_only_fail = true) () =
-    let hint = match hint with Some h -> max 1 h | None -> !Ascy_core.Config.default_buckets in
+    let hint = Hash.size_hint hint in
     let per_seg = Hash.pow2_at_least (max 1 (hint / n_segments)) 1 in
     {
       segments =

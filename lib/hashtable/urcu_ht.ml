@@ -39,13 +39,11 @@ module Inner (Mem : Ascy_mem.Memory.S) = struct
     }
 
   let create_inner ~defer_rcu ?hint ?(read_only_fail = true) () =
-    let n =
-      Hash.pow2_at_least (match hint with Some h -> max 1 h | None -> !Ascy_core.Config.default_buckets) 1
-    in
+    let n = Hash.buckets hint in
     {
       tbl = Mem.make_fresh (mk_table n);
       rcu = Rcu.create ();
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
       resize_lock = L.create_fresh ();
       defer_rcu;
       rof = read_only_fail;

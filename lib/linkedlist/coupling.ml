@@ -20,7 +20,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     Node { key; value; line; lock = L.create line; next = Mem.make line next_node }
 
   let create ?hint:_ ?read_only_fail:_ () =
-    { head = mk_node min_int None Nil; ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold () }
+    { head = mk_node min_int None Nil; ssmem = S.create () }
 
   let fields = function
     | Node n -> n

@@ -44,7 +44,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     {
       head = mk_node min_int None Nil;
       rof = read_only_fail;
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let fields = function Node n -> n | Nil -> assert false

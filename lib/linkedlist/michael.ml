@@ -20,7 +20,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
   let create ?hint:_ ?read_only_fail:_ () =
     {
       head = Mem.make_fresh { mark = false; succ = Nil };
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let mk_node key value succ =

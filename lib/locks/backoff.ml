@@ -7,18 +7,18 @@
    mutated by a single spinning thread; it is never shared. *)
 
 module Make (Mem : Ascy_mem.Memory.S) = struct
-  type t = { mutable cur : int; init : int; max : int }
+  type t = { mutable cur : int }
 
-  let create ?(init = 2) ?(max = 512) () = { cur = init; init; max }
+  (* The first delay, and the bound doubling stops at, in [cpu_relax]es. *)
+  let first_delay = 2
+  let max_delay = 512
+
+  let create () = { cur = first_delay }
 
   (** Spin for the current delay and double it (up to the bound). *)
   let once t =
     for _ = 1 to t.cur do
       Mem.cpu_relax ()
     done;
-    if t.cur < t.max then t.cur <- t.cur * 2
-
-  (** Return to the delay the instance was created with (or an explicit
-      override). *)
-  let reset ?init t = t.cur <- (match init with Some i -> i | None -> t.init)
+    if t.cur < max_delay then t.cur <- t.cur * 2
 end

@@ -2,8 +2,8 @@
 
     Cache lines are not modeled ([line = unit] and [touch]/[work] are
     no-ops).  Thread ids are dense indices assigned on first use per
-    domain.  Event counters are kept per thread id so the harness can
-    aggregate them after a run.
+    domain.  Algorithm-level events are not counted: [emit] is a no-op,
+    and event counts come from the simulator ({!Sim}).
 
     Cells are one indirection richer than a bare [Atomic.t] so that
     {!Memory.S.kcas} can be lock-free: a cell holds either a plain value
@@ -40,19 +40,6 @@ let key : int Domain.DLS.key =
       let id = Atomic.fetch_and_add next_id 1 in
       if id >= max_threads_limit then failwith "Mem_native: too many threads";
       id)
-
-(* Event counters: one int array per thread id, allocated eagerly; rows are
-   only ever written by their owning thread, so plain arrays suffice. *)
-let events = Array.init max_threads_limit (fun _ -> Array.make Event.count 0)
-
-(** Reset all event counters (call between measured runs). *)
-let reset_events () = Array.iter (fun row -> Array.fill row 0 Event.count 0) events
-
-(** Aggregate event counters across all threads. *)
-let total_events () =
-  let tot = Array.make Event.count 0 in
-  Array.iter (fun row -> Array.iteri (fun i v -> tot.(i) <- tot.(i) + v) row) events;
-  tot
 
 type line = unit
 
@@ -240,5 +227,5 @@ let work (_ : int) = ()
 let cpu_relax = Domain.cpu_relax
 let self () = Domain.DLS.get key
 let max_threads () = max_threads_limit
-let emit code = events.(self ()).(code) <- events.(self ()).(code) + 1
+let emit (_ : int) = ()
 let txn _f = None (* no HTM on stock OCaml; callers use their lock path *)

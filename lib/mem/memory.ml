@@ -82,7 +82,9 @@ module type S = sig
   (** Upper bound on thread ids, for sizing per-thread arrays. *)
 
   val emit : int -> unit
-  (** Record one algorithm-level event (see {!Event}). *)
+  (** Record one algorithm-level event (see {!Event}).  Only the
+      simulator counts events (per thread, in its run statistics); the
+      native backend's [emit] is a no-op. *)
 
   val txn : (unit -> 'a) -> 'a option
   (** Attempt to run [f] as a best-effort hardware transaction (TSX-style

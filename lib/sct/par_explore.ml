@@ -51,10 +51,10 @@ type preport = {
   p_domains : int;
 }
 
-(** Default local-branching window: how many decisions below its prefix
-    a task branches without deferring.  Deep enough that leaf subtrees
-    amortize a run's cost, shallow enough that the frontier fans out. *)
-let default_window = 6
+(** Local-branching window: how many decisions below its prefix a task
+    branches without deferring.  Deep enough that leaf subtrees amortize
+    a run's cost, shallow enough that the frontier fans out. *)
+let window = 6
 
 (* ------------------------------------------------------------------ *)
 (* Work pool                                                           *)
@@ -158,7 +158,7 @@ let run_pool ~domains ~seed_tasks ~process =
 let prefix_key pfx = String.concat "," (Array.to_list (Array.map string_of_int pfx))
 
 (* Exhaustive (DPOR/naive) partitioned over subtree-prefix tasks. *)
-let explore_exhaustive ~mode ~bounds ~domains ~window ~run =
+let explore_exhaustive ~mode ~bounds ~domains ~run =
   let m = Mutex.create () in
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   Hashtbl.add visited "" ();
@@ -280,15 +280,15 @@ let explore_random ~bounds ~policy ~domains ~run =
         p_domains = domains;
       }
 
-(** [explore ?mode ?bounds ?policy ?domains ?window ~run ()] — the
+(** [explore ?mode ?bounds ?policy ?domains ~run ()] — the
     partitioned exploration engine.  Always runs the task machinery
     (inline when [domains = 1]), so 1-vs-N determinism is testable;
     callers that want the plain sequential explorer for [domains = 1]
     should go through {!dispatch}. *)
 let explore ?(mode = Explorer.Dpor) ?(bounds = Explorer.default_bounds)
-    ?(policy = Explorer.Exhaustive) ?(domains = 1) ?(window = default_window) ~run () =
+    ?(policy = Explorer.Exhaustive) ?(domains = 1) ~run () =
   match policy with
-  | Explorer.Exhaustive -> explore_exhaustive ~mode ~bounds ~domains ~window ~run
+  | Explorer.Exhaustive -> explore_exhaustive ~mode ~bounds ~domains ~run
   | _ -> explore_random ~bounds ~policy ~domains ~run
 
 (** [dispatch ?mode ?bounds ?policy ?domains ~run ()] — the harness

@@ -162,7 +162,7 @@ let run ?(seed = 1) ?(model = Sim.default_model) ?(platform = P.xeon20) ?(check 
   let module C = Cluster.Make (Sim.Mem) (A) in
   let nthreads = Scenario.nthreads sc in
   let run_once ~faults ~want_result =
-    let cfg = { (Engine.default ~platform ~nthreads) with seed; model; faults } in
+    let cfg = { (Engine.default ~platform ~nthreads) with model; faults } in
     Engine.with_session cfg (fun session ->
         let t = C.create ~resil sc in
         C.prefill t ~seed;

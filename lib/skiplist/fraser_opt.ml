@@ -28,7 +28,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     {
       head = mk_info min_int None max_level;
       levels = Lg.create max_level;
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let height t = Array.length t.head.nexts

@@ -54,7 +54,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       head;
       levels = Lg.create max_level;
       rof = read_only_fail;
-      ssmem = S.create ~gc_threshold:!Ascy_core.Config.ssmem_threshold ();
+      ssmem = S.create ();
     }
 
   let height t = Array.length t.head.nexts

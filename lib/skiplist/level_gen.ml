@@ -3,6 +3,9 @@
     One PRNG per thread id keeps level choice deterministic inside the
     simulator and contention-free natively. *)
 
+(** Tallest tower any skip list builds, whatever its size hint. *)
+let max_levels = 20
+
 module Make (Mem : Ascy_mem.Memory.S) = struct
   type t = { rngs : Ascy_util.Xorshift.t option array; max : int }
 
@@ -24,5 +27,5 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
   (** Pick the tower height for an expected structure size [hint]. *)
   let max_for_hint hint =
     let rec log2 n acc = if n <= 1 then acc else log2 (n / 2) (acc + 1) in
-    max 4 (min !Ascy_core.Config.skiplist_levels (log2 (max 2 hint) 0 + 2))
+    max 4 (min max_levels (log2 (max 2 hint) 0 + 2))
 end

@@ -7,7 +7,7 @@
     - every thread bumps its own timestamp between operations
       ([quiesce], wired to [Set_intf.op_done]);
     - [free] buffers garbage in the calling thread's current batch;
-    - once [gc_threshold] objects have accumulated, the batch is stamped
+    - once {!gc_threshold} objects have accumulated, the batch is stamped
       with a snapshot of all timestamps and parked; parked batches whose
       every stamp has since advanced are reclaimed.
 
@@ -16,7 +16,9 @@
     optional recycler rather than a raw allocator; what is preserved from
     the paper is the *behaviour*: deferred reuse, configurable garbage
     thresholds (the Tilera runs use 128 instead of 512), GC-pass counts,
-    and the non-blocking design based on per-thread counters.
+    and the non-blocking design based on per-thread counters.  The
+    threshold is {!gc_threshold}, which every allocator reads when it
+    is created.
 
     QSBR's classic liability rides along: a thread that stops quiescing
     — crashed, stalled, or just descheduled forever — freezes its
@@ -31,6 +33,12 @@
 (* ascy-lint: allow-mutable-record — [thread_state] is the calling
    thread's private allocator state (indexed by [Mem.self ()]); only the
    activity timestamps are shared, and those live in [Mem.r] cells. *)
+
+(** Objects a thread buffers before it parks the batch and runs a
+    collection pass.  Read at {!Make.create}, so set it before building
+    a structure ([bench/exp_ssmem.ml] sweeps it, [Ascy_check] raises
+    it). *)
+let gc_threshold = ref 512
 
 module Make (Mem : Ascy_mem.Memory.S) = struct
   type garbage = Garbage : 'a -> garbage
@@ -56,10 +64,10 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
            thread [i] dead — its frozen timestamp no longer pins batches *)
   }
 
-  let create ?(gc_threshold = 512) ?reclaimer () =
+  let create ?reclaimer () =
     let n = Mem.max_threads () in
     {
-      gc_threshold;
+      gc_threshold = !gc_threshold;
       ts = Array.init n (fun _ -> Mem.make_fresh 0);
       states = Array.make n None;
       reclaimer;
@@ -79,6 +87,11 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
 
   let snapshot t = Array.map Mem.get t.ts
 
+  (* Does thread [i]'s timestamp still pin a batch stamped [s] with it?
+     The live timestamp is read before the short-circuit tests, so every
+     call makes the same simulated access. *)
+  let pins t i s = not (Mem.get t.ts.(i) > s || s = 0 || t.detached.(i))
+
   (* A parked batch is safe once every thread's timestamp moved past the
      one recorded when the batch was parked (threads that never registered
      stay at their initial value only if they never run operations; they
@@ -87,7 +100,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
   let batch_safe t b =
     let ok = ref true in
     Array.iteri
-      (fun i s -> if not (Mem.get t.ts.(i) > s || s = 0 || t.detached.(i)) then ok := false)
+      (fun i s -> if pins t i s then ok := false)
       b.stamp;
     !ok
 
@@ -154,7 +167,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
               (fun b ->
                 Array.iteri
                   (fun i st ->
-                    if (not (Mem.get t.ts.(i) > st || st = 0 || t.detached.(i))) then begin
+                    if pins t i st then begin
                       batches.(i) <- batches.(i) + 1;
                       items.(i) <- items.(i) + b.size
                     end)

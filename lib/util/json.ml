@@ -263,11 +263,5 @@ let of_string s =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
-let to_float_opt = function
-  | Int n -> Some (float_of_int n)
-  | Float f -> Some f
-  | _ -> None
-
 let to_int_opt = function Int n -> Some n | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
-let to_list_opt = function List xs -> Some xs | _ -> None

@@ -56,8 +56,6 @@ let fold f acc t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let of_array a dummy = { data = (if Array.length a = 0 then [| dummy |] else Array.copy a); len = Array.length a; dummy }
-
 let sort cmp t =
   let a = to_array t in
   Array.sort cmp a;

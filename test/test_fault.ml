@@ -276,7 +276,7 @@ let test_ssmem_crashed_thread_pins_garbage () =
   (* [after] runs inside the simulation context (collect emits events) *)
   let run ~faults ~cand ~after =
     Sim.with_sim ~seed:1 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
-        let t = Ssmem_s.create ~gc_threshold:4 () in
+        let t = Test_ssmem.create_with_threshold 4 () in
         let quiesced = ref false in
         let decisions = ref 0 in
         let inner = Scheduler.prefix_scheduler ~prefix:[||] () in

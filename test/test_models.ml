@@ -295,9 +295,9 @@ let raw_run model platform ~lines body =
    path (txn_conflict / txn_line_cost / txn_commit) next to plain
    accesses *)
 let pin_txn model platform =
-  Ascy_core.Config.clht_htm := true;
+  Ascy_hashtable.Clht_lb.htm := true;
   Fun.protect
-    ~finally:(fun () -> Ascy_core.Config.clht_htm := false)
+    ~finally:(fun () -> Ascy_hashtable.Clht_lb.htm := false)
     (fun () ->
       let maker = (Ascylib.Registry.by_name "ht-clht-lb").Ascylib.Registry.maker in
       let wl = Ascy_harness.Workload.make ~initial:128 ~update_pct:40 () in

@@ -6,9 +6,18 @@ module P = Ascy_platform.Platform
 module Ssmem_s = Ascy_ssmem.Ssmem.Make (SMem)
 module Rcu_s = Ascy_rcu.Rcu.Make (SMem)
 
+(* Run [f] with SSMEM's garbage threshold set to [n], restoring it after. *)
+let with_gc_threshold n f =
+  let saved = !Ascy_ssmem.Ssmem.gc_threshold in
+  Ascy_ssmem.Ssmem.gc_threshold := n;
+  Fun.protect ~finally:(fun () -> Ascy_ssmem.Ssmem.gc_threshold := saved) f
+
+let create_with_threshold n ?reclaimer () =
+  with_gc_threshold n (fun () -> Ssmem_s.create ?reclaimer ())
+
 let test_no_reclaim_before_quiescence () =
   Sim.with_sim ~seed:41 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
-      let a = Ssmem_s.create ~gc_threshold:4 () in
+      let a = create_with_threshold 4 () in
       let body tid () =
         if tid = 0 then begin
           (* free a lot without thread 1 ever quiescing *)
@@ -30,7 +39,7 @@ let test_no_reclaim_before_quiescence () =
 
 let test_blocked_by_active_reader () =
   Sim.with_sim ~seed:43 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
-      let a = Ssmem_s.create ~gc_threshold:4 () in
+      let a = create_with_threshold 4 () in
       let body tid () =
         if tid = 1 then begin
           (* announce activity once (ts becomes 1), then go silent while
@@ -54,7 +63,7 @@ let test_blocked_by_active_reader () =
 
 let test_reclaim_after_all_quiesce () =
   Sim.with_sim ~seed:45 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
-      let a = Ssmem_s.create ~gc_threshold:8 () in
+      let a = create_with_threshold 8 () in
       let body tid () =
         if tid = 0 then
           for i = 1 to 100 do
@@ -81,7 +90,7 @@ let test_reclaim_after_all_quiesce () =
 let test_reclaimer_callback () =
   Sim.with_sim ~seed:47 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let hit = ref 0 in
-      let a = Ssmem_s.create ~gc_threshold:2 ~reclaimer:(fun _ -> incr hit) () in
+      let a = create_with_threshold 2 ~reclaimer:(fun _ -> incr hit) () in
       let body _ () =
         for i = 1 to 20 do
           Ssmem_s.free a i;
@@ -90,6 +99,25 @@ let test_reclaimer_callback () =
       in
       ignore (Sim.run sim (Array.init 2 body));
       Alcotest.(check bool) "reclaimer invoked" true (!hit > 0))
+
+(* The threshold reaches structures built through registry makers: the
+   path [bench/exp_ssmem.ml] and [Ascy_check] set it on. *)
+let test_threshold_reaches_registry_makers () =
+  let gc_passes threshold =
+    let saved = !Ascy_ssmem.Ssmem.gc_threshold in
+    let r =
+      with_gc_threshold threshold (fun () ->
+          Ascy_harness.Sim_run.run (Ascylib.Registry.by_name "ll-lazy").Ascylib.Registry.maker
+            ~platform:P.xeon20 ~nthreads:4
+            ~workload:(Ascy_harness.Workload.make ~initial:64 ~update_pct:50 ())
+            ~ops_per_thread:200 ())
+    in
+    Alcotest.(check int) "threshold restored" saved !Ascy_ssmem.Ssmem.gc_threshold;
+    r.Ascy_harness.Sim_run.stats.Sim.events.(Ascy_mem.Event.gc_pass)
+  in
+  let low = gc_passes 4 and high = gc_passes 1_000_000 in
+  Alcotest.(check bool) (Printf.sprintf "threshold 4: gc passes (%d) > 0" low) true (low > 0);
+  Alcotest.(check int) "threshold 1_000_000: no gc pass" 0 high
 
 let test_rcu_readers_never_see_freed () =
   (* writer swaps a boxed value and synchronizes before "freeing" (we mark
@@ -132,6 +160,8 @@ let suite =
     Alcotest.test_case "active reader blocks reclamation" `Quick test_blocked_by_active_reader;
     Alcotest.test_case "reclaim after quiescence" `Quick test_reclaim_after_all_quiesce;
     Alcotest.test_case "reclaimer callback fires" `Quick test_reclaimer_callback;
+    Alcotest.test_case "threshold reaches registry makers" `Quick
+      test_threshold_reaches_registry_makers;
     Alcotest.test_case "rcu grace periods protect readers" `Quick test_rcu_readers_never_see_freed;
     Alcotest.test_case "rcu synchronize with no readers" `Quick test_rcu_synchronize_no_readers;
   ]
