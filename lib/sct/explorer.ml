@@ -31,11 +31,16 @@
       and the report is marked incomplete.
 
     In [Dpor] mode, branching happens only where it can matter: after
-    each run, every executed access is paired with the latest earlier
-    conflicting access by another thread ({!Dpor.last_conflict}), and the
-    later thread is scheduled for exploration at the earlier decision
-    point; choices whose subtrees are fully explored go to sleep and are
-    only woken by dependent steps.  [Naive] mode branches on every
+    each run, every access the run {e added} — the steps from the last
+    backtrack point down — is pushed onto an undoable per-line conflict
+    index ({!Dpor.step}), which pairs it with the latest earlier
+    conflicting access by another thread, and the later thread is
+    scheduled for exploration at the earlier decision point.  The steps
+    above the backtrack point replay unchanged and their backtrack
+    points are already added, so a run's bookkeeping costs O(new steps
+    × threads); backtracking rewinds the index with {!Dpor.undo_to}.
+    Choices whose subtrees are fully explored go to sleep and are only
+    woken by dependent steps.  [Naive] mode branches on every
     runnable thread at every step (within bounds) — exhaustive but
     exponentially larger; it exists as the ground truth the pruning is
     validated against.
@@ -80,6 +85,7 @@ type node = {
   mutable todo : int list;  (* alternatives still to explore *)
   mutable sleep : Dpor.sleep;
   mutable explored : int list;  (* choices whose subtrees are done *)
+  mutable mark : int;  (* DPOR index position before this step was pushed *)
 }
 
 type failure = {
@@ -106,6 +112,7 @@ let dummy_node =
     todo = [];
     sleep = Dpor.empty_sleep;
     explored = [];
+    mark = 0;
   }
 
 (** [explore ?mode ?bounds ~run ()] — [run ~sched] must execute the
@@ -151,6 +158,11 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
   let failure = ref None in
   let complete = ref true in
   let finished = ref false in
+  (* DPOR's conflict index over the path, and the first step of the
+     current run it has not seen: steps above the last backtrack point
+     replay unchanged, and their backtrack points are already added *)
+  let index = ref None in
+  let first_new = ref 0 in
   let state_of nd = { Scheduler.prev = nd.prev; run_len = nd.run_len } in
   let in_bounds nd tid =
     (match bounds.preemptions with
@@ -199,6 +211,7 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
                 | Dpor, Some p -> Dpor.wake p.action p.sleep
                 | _ -> Dpor.empty_sleep);
               explored = [];
+              mark = 0;
             }
           in
           (match mode with
@@ -231,33 +244,29 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
         complete := false;
         finished := true
     | None -> (
-        (* ---- DPOR: add backtrack points from this run's conflicts ---- *)
-        (if mode = Dpor then begin
-           let n = Vec.length stack in
-           let steps =
-             Array.init n (fun i ->
-                 let nd = Vec.get stack i in
-                 (nd.chosen, nd.action))
+        (* ---- DPOR: add backtrack points from the steps this run added ---- *)
+        (if mode = Dpor && Vec.length stack > 0 then begin
+           let ix =
+             match !index with
+             | Some ix -> ix
+             | None ->
+                 let threads = Array.length (Vec.get stack 0).runnable.Sim.r_acts in
+                 let ix = Dpor.create_index ~threads in
+                 index := Some ix;
+                 ix
            in
-           let stutters = Dpor.stutter_flags steps in
-           for i = 1 to n - 1 do
+           for i = !first_new to Vec.length stack - 1 do
              let ni = Vec.get stack i in
-             match ni.action with
-             | Sim.A_access _ when not stutters.(i) -> (
-                 match Dpor.last_conflict ~skip:(fun j -> stutters.(j)) steps i with
-                 | Some j ->
-                     let nj = Vec.get stack j in
-                     let p = ni.chosen in
-                     if
-                       p <> nj.chosen
-                       && Scheduler.index_of p nj.runnable >= 0
-                       && in_bounds nj p
-                     then
-                       if j < plen || j >= wlimit then defer j p
-                       else if
-                         (not (List.mem p nj.explored)) && not (List.mem p nj.todo)
-                       then nj.todo <- p :: nj.todo
-                 | None -> ())
+             ni.mark <- Dpor.mark ix;
+             match (ni.action, Dpor.step ix i ni.chosen ni.action) with
+             | Sim.A_access _, (false, j) when j >= 0 ->
+                 let nj = Vec.get stack j in
+                 let p = ni.chosen in
+                 if p <> nj.chosen && Scheduler.index_of p nj.runnable >= 0 && in_bounds nj p
+                 then
+                   if j < plen || j >= wlimit then defer j p
+                   else if (not (List.mem p nj.explored)) && not (List.mem p nj.todo) then
+                     nj.todo <- p :: nj.todo
              | _ -> ()
            done
          end);
@@ -290,6 +299,8 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
               | Some t ->
                   nd.chosen <- t;
                   nd.action <- Scheduler.action_of t nd.runnable;
+                  (match !index with Some ix -> Dpor.undo_to ix nd.mark | None -> ());
+                  first_new := d;
                   Vec.truncate stack (d + 1);
                   Some ()
               | None -> backtrack (d - 1)

@@ -105,9 +105,9 @@ let delay_cost st runnable tid =
 (* Randomized choosers (uniform / sticky / PCT)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Online spin detection, the scheduling-time analogue of
-   {!Dpor.stutter_flags}: a thread whose next action re-reads a line it
-   already read, unchanged since, is spinning and cannot make progress
+(* Online spin detection, the scheduling-time analogue of the stutter
+   rule of DPOR's conflict index ({!Dpor.step}): a thread whose next
+   action re-reads a line it already read, unchanged since, is spinning and cannot make progress
    by being scheduled.  Randomized policies need this because, unlike
    the slice-rotating default policy, they are not inherently fair: a
    uniform or priority-driven chooser happily feeds a spin loop forever

@@ -338,6 +338,144 @@ let test_bad_schedule_file () =
         (Replay.Bad_schedule "not an ascy-sct-schedule") (fun () ->
           ignore (Replay.load path)))
 
+(* ------------------------------------------------------------------ *)
+(* DPOR conflict index vs. the whole-run reference                     *)
+(* ------------------------------------------------------------------ *)
+
+module Dpor = Ascy_sct.Dpor
+module Sim = Ascy_mem.Sim
+module Vec = Ascy_util.Vec
+
+(* The reference the incremental index must agree with: the stutter and
+   last-conflict rules stated directly over a whole run of (tid,
+   action) steps, each recomputed from scratch. *)
+let ref_stutter_flags (steps : (int * Sim.action) array) =
+  let n = Array.length steps in
+  let flags = Array.make n false in
+  (* line -> write version; tid -> (line read, version seen) of the
+     thread's latest access, if it was a read *)
+  let version = Hashtbl.create 64 in
+  let wver l = try Hashtbl.find version l with Not_found -> 0 in
+  let last_read = Hashtbl.create 16 in
+  for i = 0 to n - 1 do
+    let tid, a = steps.(i) in
+    match a with
+    | Sim.A_access (Sim.Read, l) ->
+        let v = wver l in
+        (match Hashtbl.find_opt last_read tid with
+        | Some (l', v') when l' = l && v' = v -> flags.(i) <- true
+        | _ -> ());
+        Hashtbl.replace last_read tid (l, v)
+    | Sim.A_access ((Sim.Write | Sim.Rmw), l) ->
+        Hashtbl.replace version l (wver l + 1);
+        Hashtbl.remove last_read tid
+    | Sim.A_kcas lines ->
+        Array.iter (fun l -> Hashtbl.replace version l (wver l + 1)) lines;
+        Hashtbl.remove last_read tid
+    | Sim.A_start | Sim.A_work _ -> ()
+  done;
+  flags
+
+(* The latest [j < i] by another thread, not a stutter, dependent on
+   step [i]; -1 if none (and for a stutter, which has no conflict). *)
+let ref_last_conflict steps flags i =
+  let tid_i, a_i = steps.(i) in
+  let rec go j =
+    if j < 0 then -1
+    else begin
+      let tid_j, a_j = steps.(j) in
+      if tid_j <> tid_i && (not flags.(j)) && Dpor.dependent a_j a_i then j else go (j - 1)
+    end
+  in
+  if flags.(i) then -1 else go (i - 1)
+
+type dfs_op = Push of int * Sim.action | Undo of int
+
+let show_action = function
+  | Sim.A_start -> "start"
+  | Sim.A_work n -> Printf.sprintf "work %d" n
+  | Sim.A_access (k, l) ->
+      Printf.sprintf "%s %d" (match k with Sim.Read -> "R" | Sim.Write -> "W" | Sim.Rmw -> "RMW") l
+  | Sim.A_kcas ls ->
+      "kcas [" ^ String.concat ";" (Array.to_list (Array.map string_of_int ls)) ^ "]"
+
+let show_op = function
+  | Push (t, a) -> Printf.sprintf "t%d:%s" t (show_action a)
+  | Undo d -> Printf.sprintf "undo %d" d
+
+(* 2-4 threads, 8 lines with two hot ones (so spins and conflicts are
+   common), and pushes interleaved with rewinds to earlier depths, as
+   the explorer's DFS issues them. *)
+let gen_dfs =
+  let open QCheck.Gen in
+  let line = frequency [ (3, int_bound 1); (1, int_bound 7) ] in
+  let kcas =
+    list_size (int_range 2 3) (int_bound 7) >|= fun ls ->
+    Sim.A_kcas (Array.of_list (List.sort_uniq compare ls))
+  in
+  let action =
+    frequency
+      [
+        (5, line >|= fun l -> Sim.A_access (Sim.Read, l));
+        (2, line >|= fun l -> Sim.A_access (Sim.Write, l));
+        (2, line >|= fun l -> Sim.A_access (Sim.Rmw, l));
+        (1, kcas);
+        (1, int_range 1 4 >|= fun n -> Sim.A_work n);
+        (1, return Sim.A_start);
+      ]
+  in
+  int_range 2 4 >>= fun threads ->
+  let push = pair (int_bound (threads - 1)) action >|= fun (t, a) -> Push (t, a) in
+  let op = frequency [ (8, push); (1, nat >|= fun d -> Undo d) ] in
+  list_size (int_range 1 80) op >|= fun ops -> (threads, ops)
+
+let arb_dfs =
+  QCheck.make gen_dfs ~print:(fun (threads, ops) ->
+      Printf.sprintf "%d threads: %s" threads (String.concat ", " (List.map show_op ops)))
+
+let prop_index_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"dpor index = whole-run stutter/conflict reference"
+    arb_dfs (fun (threads, ops) ->
+      let ix = Dpor.create_index ~threads in
+      let path = Vec.create (0, Sim.A_start) in
+      let marks = Vec.create 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Undo d ->
+              let d = d mod (Vec.length path + 1) in
+              if d < Vec.length path then Dpor.undo_to ix (Vec.get marks d);
+              Vec.truncate path d;
+              Vec.truncate marks d;
+              true
+          | Push (tid, a) ->
+              let i = Vec.length path in
+              Vec.push marks (Dpor.mark ix);
+              Vec.push path (tid, a);
+              let stutter, conflict = Dpor.step ix i tid a in
+              let steps = Vec.to_array path in
+              let flags = ref_stutter_flags steps in
+              stutter = flags.(i) && conflict = ref_last_conflict steps flags i)
+        ops)
+
+let test_index_cases () =
+  let ix = Dpor.create_index ~threads:2 in
+  let step i tid a = Dpor.step ix i tid a in
+  let check msg expected got = Alcotest.(check (pair bool int)) msg expected got in
+  check "first read" (false, -1) (step 0 0 (Sim.A_access (Sim.Read, 5)));
+  check "re-read of an unwritten line stutters" (true, -1) (step 1 0 (Sim.A_access (Sim.Read, 5)));
+  let before_write = Dpor.mark ix in
+  check "write skips the stutter, conflicts with the first read" (false, 0)
+    (step 2 1 (Sim.A_access (Sim.Write, 5)));
+  check "re-read after a write is progress" (false, 2) (step 3 0 (Sim.A_access (Sim.Read, 5)));
+  check "read of another line" (false, -1) (step 4 0 (Sim.A_access (Sim.Read, 9)));
+  check "k-CAS conflicts with the latest read of a member line" (false, 4)
+    (step 5 1 (Sim.A_kcas [| 5; 9 |]));
+  check "read after the k-CAS conflicts with it" (false, 5) (step 6 0 (Sim.A_access (Sim.Read, 9)));
+  Dpor.undo_to ix before_write;
+  check "after undo the re-read stutters again" (true, -1) (step 2 0 (Sim.A_access (Sim.Read, 5)));
+  check "after undo the k-CAS sees only step 0" (false, 0) (step 3 1 (Sim.A_kcas [| 5; 9 |]))
+
 let suite =
   [
     Alcotest.test_case "seq list: find, minimize, replay bit-for-bit" `Quick
@@ -372,4 +510,6 @@ let suite =
       test_pathcas_spaces_clean_and_pinned;
     Alcotest.test_case "incomplete flag propagates into report JSON" `Quick
       test_incomplete_flag_propagates;
+    Alcotest.test_case "dpor index: stutter skip, k-CAS vs read, undo" `Quick test_index_cases;
+    QCheck_alcotest.to_alcotest prop_index_matches_reference;
   ]
