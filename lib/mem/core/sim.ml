@@ -2,10 +2,11 @@
     effect handlers, with a pluggable cache-coherence cost model.
 
     Simulated threads are ordinary OCaml closures written against
-    {!Memory.S}; each shared-memory access performs an effect.  The
-    scheduler always resumes the thread with the smallest local clock and
-    charges the access a latency taken from the installed coherence
-    model ({!Cohmodel.S}):
+    {!Memory.S}; each shared-memory access is a yield point, where the
+    thread suspends through an effect unless a controlled run keeps it
+    running (see {!run}).  The free-running scheduler always resumes the
+    thread with the smallest local clock and charges the access a
+    latency taken from the installed coherence model ({!Cohmodel.S}):
 
     - {!Coh_dir}: one directory model — per-core private caches,
       per-socket LLCs, a directory per line tracking owner and sharer
@@ -129,7 +130,10 @@ let model_names () = Models.names
 (* Core state                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type step = Finished | Blocked
+(* How a thread's resumption ended: it returned, it suspended at a
+   yield point, or a decision or commit taken at its yield point raised
+   (the exception belongs to the run, not to the thread). *)
+type step = Finished | Blocked | Aborted of exn * Printexc.raw_backtrace
 
 type thread = {
   tid : int;
@@ -193,6 +197,10 @@ type t = {
      given a fault plan, so default paths stay byte-identical *)
   mutable any_fault : bool;
   mutable decisions : int; (* executed steps in the current run *)
+  mutable runnable : runnable; (* the current run's decision record *)
+  mutable choose : scheduler; (* the current run's chooser *)
+  mutable inline : bool; (* controlled and fault-free: yield points decide *)
+  mutable next : int; (* choice a yield point made for the loop, or -1 *)
   mutable pending_faults : fault_event list; (* sorted by fe_at *)
   mutable crashed_tids : int list; (* newest first *)
   slow_factor : float array; (* per-socket NUMA slowdown multiplier *)
@@ -245,6 +253,10 @@ let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_mo
     observer = None;
     any_fault = false;
     decisions = 0;
+    runnable = { Simtypes.rn = 0; r_tids = [||]; r_acts = [||] };
+    choose = (fun _ -> -1);
+    inline = false;
+    next = -1;
     pending_faults = [];
     crashed_tids = [];
     slow_factor = Array.make platform.P.sockets 1.0;
@@ -342,6 +354,77 @@ type _ Effect.t +=
   | Kcas_eff : int array -> unit Effect.t
         (** multi-word CAS commit point; the array holds the touched
             lines, sorted and distinct *)
+  | Switch : unit Effect.t
+        (** a yield point chose another thread: suspend, the choice is
+            in [sim.next] *)
+  | Abort : exn * Printexc.raw_backtrace -> unit Effect.t
+        (** a decision or commit taken at a yield point raised *)
+
+(* Commit [th]'s pending step [act]: charge its latency to [th]'s clock.
+   Every touched line of a k-CAS commit pays its own RMW coherence cost
+   under the installed model; the observer hears each access/outcome
+   pair from the commit code instead, which knows the outcome. *)
+let commit sim th = function
+  | A_access (kind, line) -> th.clock <- th.clock + access_cost sim th kind line
+  | A_work n -> th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale)
+  | A_kcas lines ->
+      Array.iter (fun line -> th.clock <- th.clock + access_cost ~notify:false sim th Rmw line) lines
+  | A_start -> ()
+
+(* One decision: list the runnable threads (live, not crashed, not
+   stalled; ascending tid) into [sim.runnable], ask the chooser, and
+   check that it answered one of them.  [-1] when every live thread is
+   stalled. *)
+let decide sim =
+  let r = sim.runnable in
+  let n = ref 0 in
+  for tid = 0 to sim.nthreads - 1 do
+    let th = sim.threads.(tid) in
+    if (not th.finished) && (not th.crashed) && th.stalled_until <= sim.decisions then begin
+      r.r_tids.(!n) <- tid;
+      incr n
+    end
+  done;
+  r.rn <- !n;
+  if !n = 0 then -1
+  else begin
+    let tid = sim.choose r in
+    if
+      tid < 0 || tid >= sim.nthreads || sim.threads.(tid).finished
+      || sim.threads.(tid).crashed
+      || sim.threads.(tid).stalled_until > sim.decisions
+    then invalid_arg (Printf.sprintf "Sim.run: scheduler chose non-runnable thread %d" tid);
+    tid
+  end
+
+(* A yield point of a controlled, fault-free run ([sim.inline]): record
+   the running thread's next step [act] and take the decision here, as
+   the loop would (no thread running, the same runnable set).  A re-pick
+   of the running thread is committed on the spot and the thread runs on
+   without an effect; another choice suspends it and hands the choice to
+   the loop, so the chooser is still called once per decision.  An
+   exception from the decision or the commit leaves through [Abort],
+   never through the thread's own code. *)
+let yield_inline sim act =
+  let tid = sim.cur in
+  sim.runnable.r_acts.(tid) <- act;
+  sim.cur <- -1;
+  match
+    let next = decide sim in
+    sim.cur <- tid;
+    if next = tid then begin
+      sim.decisions <- sim.decisions + 1;
+      commit sim sim.threads.(tid) act;
+      true
+    end
+    else begin
+      sim.next <- next;
+      false
+    end
+  with
+  | true -> ()
+  | false -> Effect.perform Switch
+  | exception e -> Effect.perform (Abort (e, Printexc.get_raw_backtrace ()))
 
 exception Txn_abort
 
@@ -379,7 +462,7 @@ let the_sim () =
 let set_observer sim obs = sim.observer <- obs
 
 (* Report an RMW outcome to the observer.  Called after the [Rmw] access
-   effect returned, i.e. after the access was committed and charged, on
+   yield point returned, i.e. after the access was committed and charged, on
    the same (still-running) simulated thread. *)
 let notify_rmw ok =
   match !(current ()) with
@@ -398,14 +481,20 @@ module Mem : Memory.S with type line = int = struct
   type 'a r = { line : int; mutable v : 'a }
 
   (* Route an access: inside a transaction it is buffered/accounted by
-     txn_access; otherwise it is an effect handled by the scheduler. *)
+     txn_access; otherwise it is a yield point, decided in place on a
+     controlled run and an effect handled by the loop otherwise. *)
   let access kind line =
     match !(current ()) with
     | Some sim when sim.cur >= 0 -> (
         match sim.txn with
         | Some tx -> txn_access sim tx kind line
-        | None -> Effect.perform (Access (kind, line)))
+        | None ->
+            if sim.inline then yield_inline sim (A_access (kind, line))
+            else Effect.perform (Access (kind, line)))
     | _ -> ()
+
+  let yield_work sim n =
+    if sim.inline then yield_inline sim (A_work n) else Effect.perform (Work_eff n)
 
   let in_txn () = match !(current ()) with Some sim -> sim.txn | None -> None
 
@@ -454,9 +543,9 @@ module Mem : Memory.S with type line = int = struct
 
   (* Multi-word CAS.  The descriptor internals carry the [kdx_] prefix
      ([ascy_lint] rule C confines it to the backend files).  One
-     [Kcas_eff] effect is the single scheduling point: the compare, the
+     yield point is the single scheduling point: the compare, the
      writes and the observer notifications all happen atomically after
-     the scheduler resumes us, exactly like the post-effect body of
+     the scheduler resumes us, exactly like the post-yield body of
      [cas], so the commit is one indivisible multi-line step whose
      coherence cost was charged per line at the commit decision. *)
   type kcas_op = Kdx_op : { kdx_cell : 'a r; kdx_exp : 'a; kdx_des : 'a } -> kcas_op
@@ -509,7 +598,8 @@ module Mem : Memory.S with type line = int = struct
                 Array.iter (fun line -> txn_access sim tx Rmw line) lines;
                 kdx_apply ops
             | None ->
-                Effect.perform (Kcas_eff lines);
+                if sim.inline then yield_inline sim (A_kcas lines)
+                else Effect.perform (Kcas_eff lines);
                 let ok = kdx_apply ops in
                 (match sim.observer with
                 | Some o ->
@@ -529,7 +619,7 @@ module Mem : Memory.S with type line = int = struct
     | Some sim when sim.cur >= 0 -> (
         match sim.txn with
         | Some tx -> tx.t_cost <- tx.t_cost + n
-        | None -> Effect.perform (Work_eff n))
+        | None -> yield_work sim n)
     | _ -> ()
 
   let cpu_relax () = work 6
@@ -563,13 +653,13 @@ module Mem : Memory.S with type line = int = struct
             List.iter
               (fun line -> C.txn_commit cm ~core:th.core ~socket:th.socket line)
               tx.t_written;
-            Effect.perform (Work_eff (tx.t_cost + sim.plat.P.c_atomic));
+            yield_work sim (tx.t_cost + sim.plat.P.c_atomic);
             Some v
         | exception Txn_abort ->
             sim.txn <- None;
             List.iter (fun undo -> undo ()) tx.t_undo;
             sim.counters.(sim.cur).rmw <- sim.counters.(sim.cur).rmw + 1;
-            Effect.perform (Work_eff (tx.t_cost + (2 * sim.plat.P.c_atomic)));
+            yield_work sim (tx.t_cost + (2 * sim.plat.P.c_atomic));
             None)
     | _ -> None
 end
@@ -588,9 +678,9 @@ exception Thread_failure of int * exn * string
     for a given seed.  Returns the largest thread clock (the makespan, in
     cycles).
 
-    One loop takes every decision: it lists the {!runnable} set (live,
-    not crashed, not stalled; ascending tid) and asks a chooser which
-    thread to resume.  [scheduler] is that chooser when given, which
+    Every decision lists the {!runnable} set (live, not crashed, not
+    stalled; ascending tid), asks a chooser which thread to resume and
+    checks the answer.  [scheduler] is that chooser when given, which
     makes the simulator a controlled concurrency tester (see
     [Ascy_sct]): the callback sees each runnable thread's next {!action}
     and must return one of the listed tids.  Without [scheduler] the
@@ -600,6 +690,23 @@ exception Thread_failure of int * exn * string
     passed to the callback is {e reused} across decisions — the
     per-decision hot path allocates nothing — so schedulers must copy
     ({!runnable_copy}) anything they retain past the callback.
+
+    Where a decision is taken depends on the run's inputs.  A thread's
+    first step and the step after a thread finishes are decided in the
+    run's loop.  Every other decision falls at a yield point of the
+    running thread (a {!Mem} access, [work]/[cpu_relax], a k-CAS
+    commit, a transaction's commit work).  With a [scheduler] and no
+    [faults], the yield point takes it in place: if the chooser re-picks
+    the running thread, the step is charged there and the thread runs
+    on without suspending; otherwise the thread suspends and the loop
+    resumes the thread already chosen.  The free-running clock, which
+    almost never re-picks, and any fault plan, whose crashes must
+    discontinue parked continuations, make every yield point suspend
+    (one effect per step) and the loop decide.  The decision sequence
+    is the same either way, with one chooser call per decision; an
+    exception raised by the chooser or by the step's commit leaves
+    [run] as itself, and only an exception of the thread's own code is
+    wrapped in {!Thread_failure}.
 
     [faults] injects {!fault_event}s keyed by decision index (see
     {!decisions}).  Due faults are applied as a pre-step before each
@@ -637,13 +744,13 @@ let run ?scheduler ?(faults = []) sim bodies =
             invalid_arg "Sim.run: fault targets an unknown socket")
     faults;
   (* One runnable record serves every decision of the run.  Its
-     [r_acts] is indexed by tid and written once per performed effect:
-     it is both the scheduler's lookahead and the step the thread
-     commits when next resumed, and listing the runnable set at a
-     decision stores only ints. *)
-  let runnable =
-    { Simtypes.rn = 0; r_tids = Array.make sim.nthreads 0; r_acts = Array.make sim.nthreads A_start }
-  in
+     [r_acts] is indexed by tid and written once per yield point: it is
+     both the scheduler's lookahead and the step the thread commits when
+     next resumed, and listing the runnable set at a decision stores
+     only ints. *)
+  sim.runnable <-
+    { Simtypes.rn = 0; r_tids = Array.make sim.nthreads 0; r_acts = Array.make sim.nthreads A_start };
+  let runnable = sim.runnable in
   let handler : (unit, step) Effect.Deep.handler =
     {
       retc = (fun () -> Finished);
@@ -672,6 +779,13 @@ let run ?scheduler ?(faults = []) sim bodies =
                   runnable.r_acts.(th.tid) <- A_kcas lines;
                   th.cont <- Some k;
                   Blocked)
+          | Switch ->
+              (* the yield point already recorded the step and chose *)
+              Some
+                (fun (k : (a, step) Effect.Deep.continuation) ->
+                  sim.threads.(sim.cur).cont <- Some k;
+                  Blocked)
+          | Abort (e, bt) -> Some (fun _ -> Aborted (e, bt))
           | _ -> None);
     }
   in
@@ -679,7 +793,7 @@ let run ?scheduler ?(faults = []) sim bodies =
   sim.live <- sim.nthreads;
   let makespan = ref 0 in
   (* Resume [tid]: commit its pending action (charging latency), run it
-     to its next effect, and record completion. *)
+     to its next suspension, and record completion. *)
   let exec_step tid =
     let th = sim.threads.(tid) in
     sim.cur <- tid;
@@ -691,19 +805,7 @@ let run ?scheduler ?(faults = []) sim bodies =
           (try Effect.Deep.match_with body () handler
            with e -> raise (Thread_failure (tid, e, Printexc.get_backtrace ())))
       | None -> (
-          (* commit the pending action, charge its latency, resume *)
-          (match runnable.r_acts.(tid) with
-          | A_access (kind, line) -> th.clock <- th.clock + access_cost sim th kind line
-          | A_work n -> th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale)
-          | A_kcas lines ->
-              (* one atomic commit, but every touched line pays its own
-                 RMW coherence cost under the installed model; the
-                 observer hears each access/outcome pair from the commit
-                 code instead, which knows the outcome *)
-              Array.iter
-                (fun line -> th.clock <- th.clock + access_cost ~notify:false sim th Rmw line)
-                lines
-          | A_start -> ());
+          commit sim th runnable.r_acts.(tid);
           match th.cont with
           | Some k ->
               th.cont <- None;
@@ -716,7 +818,10 @@ let run ?scheduler ?(faults = []) sim bodies =
         th.finished <- true;
         sim.live <- sim.live - 1;
         if th.clock > !makespan then makespan := th.clock
-    | Blocked -> ());
+    | Blocked -> ()
+    | Aborted (e, bt) ->
+        sim.cur <- -1;
+        Printexc.raise_with_backtrace e bt);
     sim.cur <- -1
   in
   (* Crash-stop [tid]: it never runs again.  A parked continuation is
@@ -738,7 +843,7 @@ let run ?scheduler ?(faults = []) sim bodies =
           th.cont <- None;
           sim.cur <- tid;
           (try
-             match Effect.Deep.discontinue k Thread_killed with Finished | Blocked -> ()
+             ignore (Effect.Deep.discontinue k Thread_killed : step)
            with
           | Thread_killed -> ()
           | e ->
@@ -788,40 +893,39 @@ let run ?scheduler ?(faults = []) sim bodies =
     done;
     !best
   in
-  let choose = match scheduler with Some choose -> choose | None -> by_clock in
-  while sim.live > 0 do
-    if sim.any_fault then apply_due_faults ();
-    if sim.live > 0 then begin
-      let n = ref 0 in
-      for tid = 0 to sim.nthreads - 1 do
-        let th = sim.threads.(tid) in
-        if (not th.finished) && (not th.crashed) && th.stalled_until <= sim.decisions then begin
-          runnable.r_tids.(!n) <- tid;
-          incr n
+  sim.choose <- (match scheduler with Some choose -> choose | None -> by_clock);
+  (* a controlled, fault-free run decides at its yield points; a crash
+     must discontinue a parked continuation, and the clock chooser almost
+     never re-picks, so those runs suspend at every step *)
+  sim.inline <- scheduler <> None && faults = [];
+  sim.next <- -1;
+  let loop () =
+    while sim.live > 0 do
+      if sim.any_fault then apply_due_faults ();
+      if sim.live > 0 then begin
+        let tid =
+          if sim.next >= 0 then begin
+            let tid = sim.next in
+            sim.next <- -1;
+            tid
+          end
+          else decide sim
+        in
+        if tid >= 0 then exec_step tid
+        else begin
+          (* every live thread is stalled: jump to the earliest expiry *)
+          let wake = ref max_int in
+          for tid = 0 to sim.nthreads - 1 do
+            let th = sim.threads.(tid) in
+            if (not th.finished) && (not th.crashed) && th.stalled_until < !wake then
+              wake := th.stalled_until
+          done;
+          sim.decisions <- max sim.decisions !wake
         end
-      done;
-      runnable.rn <- !n;
-      if !n = 0 then begin
-        (* every live thread is stalled: jump to the earliest expiry *)
-        let wake = ref max_int in
-        for tid = 0 to sim.nthreads - 1 do
-          let th = sim.threads.(tid) in
-          if (not th.finished) && (not th.crashed) && th.stalled_until < !wake then
-            wake := th.stalled_until
-        done;
-        sim.decisions <- max sim.decisions !wake
       end
-      else begin
-        let tid = choose runnable in
-        if
-          tid < 0 || tid >= sim.nthreads || sim.threads.(tid).finished
-          || sim.threads.(tid).crashed
-          || sim.threads.(tid).stalled_until > sim.decisions
-        then invalid_arg (Printf.sprintf "Sim.run: scheduler chose non-runnable thread %d" tid);
-        exec_step tid
-      end
-    end
-  done;
+    done
+  in
+  Fun.protect ~finally:(fun () -> sim.inline <- false) loop;
   sim.cur <- -1;
   !makespan
 

@@ -42,8 +42,12 @@ let add_sleep tid action (s : sleep) : sleep =
   if in_sleep tid s then s else (tid, action) :: s
 
 (** Taking [action] wakes every sleeping thread whose pending action
-    depends on it (the commutation argument no longer applies). *)
-let wake action (s : sleep) : sleep = List.filter (fun (_, a) -> not (dependent a action)) s
+    depends on it (the commutation argument no longer applies).  [s]
+    itself when nothing wakes. *)
+let wake action (s : sleep) : sleep =
+  if List.exists (fun (_, a) -> dependent a action) s then
+    List.filter (fun (_, a) -> not (dependent a action)) s
+  else s
 
 (* ------------------------------------------------------------------ *)
 (* Incremental conflict index                                          *)

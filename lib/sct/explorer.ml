@@ -163,13 +163,14 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
      replay unchanged, and their backtrack points are already added *)
   let index = ref None in
   let first_new = ref 0 in
-  let state_of nd = { Scheduler.prev = nd.prev; run_len = nd.run_len } in
   let in_bounds nd tid =
     (match bounds.preemptions with
-    | Some p -> nd.preempts + Scheduler.preempt_cost (state_of nd) nd.runnable tid <= p
+    | Some p ->
+        nd.preempts + Scheduler.preempt_cost ~prev:nd.prev ~run_len:nd.run_len nd.runnable tid <= p
     | None -> true)
     && (match bounds.delays with
-       | Some d -> nd.delays + Scheduler.delay_cost (state_of nd) nd.runnable tid <= d
+       | Some d ->
+           nd.delays + Scheduler.delay_cost ~prev:nd.prev ~run_len:nd.run_len nd.runnable tid <= d
        | None -> true)
   in
   let current_schedule () = Array.init (Vec.length stack) (fun i -> (Vec.get stack i).chosen) in
@@ -191,7 +192,7 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
           let cost f =
             match parent with
             | None -> 0
-            | Some p -> f (state_of p) p.runnable p.chosen
+            | Some p -> f ~prev:p.prev ~run_len:p.run_len p.runnable p.chosen
           in
           let node =
             {

@@ -78,28 +78,49 @@ let candidate_order st (runnable : Sim.runnable) =
     else !rest @ [ st.prev ]
   end
 
-let default_choice st runnable =
-  match candidate_order st runnable with
-  | tid :: _ -> tid
-  | [] -> invalid_arg "Scheduler.default_choice: no runnable thread"
+(* Where [candidate_order]'s rotation starts: the position after the
+   previous thread when it is runnable (at [prev_idx]), else the first
+   tid above it, wrapping to 0. *)
+let rotation_start ~prev ~prev_idx (runnable : Sim.runnable) =
+  let n = Sim.runnable_count runnable in
+  if prev_idx >= 0 then (prev_idx + 1) mod n
+  else begin
+    let rec first i =
+      if i >= n then 0 else if Sim.runnable_tid runnable i > prev then i else first (i + 1)
+    in
+    first 0
+  end
 
-(** Preemption cost of resuming [tid]: 1 iff it deschedules a previous
-    thread that is still runnable mid-slice.  Slice-expiry rotations and
-    switches forced by thread completion are free. *)
-let preempt_cost st runnable tid =
-  if st.prev >= 0 && tid <> st.prev && st.run_len < time_slice && index_of st.prev runnable >= 0
-  then 1
+(** The head of {!candidate_order}, computed without building it: the
+    previous thread while its slice lasts, else the rotation's first
+    thread. *)
+let default_choice st runnable =
+  let n = Sim.runnable_count runnable in
+  if n = 0 then invalid_arg "Scheduler.default_choice: no runnable thread";
+  let prev_idx = if st.prev >= 0 then index_of st.prev runnable else -1 in
+  if prev_idx >= 0 && st.run_len < time_slice then st.prev
+  else Sim.runnable_tid runnable (rotation_start ~prev:st.prev ~prev_idx runnable)
+
+(** Preemption cost of resuming [tid] after [prev] ran [run_len] steps:
+    1 iff it deschedules a previous thread that is still runnable
+    mid-slice.  Slice-expiry rotations and switches forced by thread
+    completion are free. *)
+let preempt_cost ~prev ~run_len runnable tid =
+  if prev >= 0 && tid <> prev && run_len < time_slice && index_of prev runnable >= 0 then 1
   else 0
 
-(** Delay cost of resuming [tid]: how many better-ranked candidates the
-    choice skips (0 for the default choice). *)
-let delay_cost st runnable tid =
-  let rec go i = function
-    | [] -> invalid_arg "Scheduler.delay_cost: thread not runnable"
-    | t :: _ when t = tid -> i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 (candidate_order st runnable)
+(** Delay cost of resuming [tid] after [prev] ran [run_len] steps: how
+    many better-ranked candidates the choice skips (0 for the default
+    choice), i.e. [tid]'s index in {!candidate_order}, computed without
+    building it. *)
+let delay_cost ~prev ~run_len runnable tid =
+  let i = index_of tid runnable in
+  if i < 0 then invalid_arg "Scheduler.delay_cost: thread not runnable";
+  let n = Sim.runnable_count runnable in
+  let prev_idx = if prev >= 0 then index_of prev runnable else -1 in
+  (* [tid]'s place in the rotation, which reaches [prev_idx] last *)
+  let pos = (i - rotation_start ~prev ~prev_idx runnable + n) mod n in
+  if prev_idx < 0 || run_len >= time_slice then pos else if i = prev_idx then 0 else pos + 1
 
 (* ------------------------------------------------------------------ *)
 (* Randomized choosers (uniform / sticky / PCT)                        *)

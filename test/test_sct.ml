@@ -476,6 +476,51 @@ let test_index_cases () =
   check "after undo the re-read stutters again" (true, -1) (step 2 0 (Sim.A_access (Sim.Read, 5)));
   check "after undo the k-CAS sees only step 0" (false, 0) (step 3 1 (Sim.A_kcas [| 5; 9 |]))
 
+(* The closed-form default choice and delay cost against
+   [candidate_order], the list they stand for: runnable sets of 1-6 tids
+   out of 0..7, a previous thread that is absent (-1), runnable or not
+   runnable, and a run length on both sides of the time slice. *)
+let gen_decision =
+  let open QCheck.Gen in
+  let slice = Scheduler.time_slice in
+  list_size (int_range 1 6) (int_bound 7) >>= fun picks ->
+  let tids = List.sort_uniq compare picks in
+  let absent = List.filter (fun t -> not (List.mem t tids)) (List.init 8 Fun.id) in
+  let prev =
+    frequency
+      [ (1, return (-1)); (3, oneofl tids); (2, oneofl absent) ]
+  in
+  let run_len =
+    frequency
+      [ (2, oneofl [ 0; 1; slice - 1; slice; slice + 1 ]); (1, int_bound (2 * slice)) ]
+  in
+  triple prev run_len (oneofl absent) >|= fun (prev, run_len, stranger) ->
+  (tids, prev, run_len, stranger)
+
+let arb_decision =
+  QCheck.make gen_decision ~print:(fun (tids, prev, run_len, stranger) ->
+      Printf.sprintf "runnable [%s], prev %d, run_len %d, not runnable %d"
+        (String.concat ";" (List.map string_of_int tids))
+        prev run_len stranger)
+
+let prop_costs_match_candidate_order =
+  QCheck.Test.make ~count:1000 ~name:"default choice and delay cost = candidate order"
+    arb_decision (fun (tids, prev, run_len, stranger) ->
+      let r =
+        { Sim.rn = List.length tids; r_tids = Array.of_list tids; r_acts = Array.make 8 Sim.A_start }
+      in
+      let order = Scheduler.candidate_order { Scheduler.prev; run_len } r in
+      List.sort compare order = tids
+      && Scheduler.default_choice { Scheduler.prev; run_len } r = List.hd order
+      && List.for_all2
+           (fun i t -> Scheduler.delay_cost ~prev ~run_len r t = i)
+           (List.init (List.length order) Fun.id)
+           order
+      &&
+      match Scheduler.delay_cost ~prev ~run_len r stranger with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "seq list: find, minimize, replay bit-for-bit" `Quick
@@ -512,4 +557,5 @@ let suite =
       test_incomplete_flag_propagates;
     Alcotest.test_case "dpor index: stutter skip, k-CAS vs read, undo" `Quick test_index_cases;
     QCheck_alcotest.to_alcotest prop_index_matches_reference;
+    QCheck_alcotest.to_alcotest prop_costs_match_candidate_order;
   ]

@@ -164,6 +164,145 @@ let test_free_running_pinned () =
        ~faults:(List.init 4 (fun tid -> fault 20 tid (Sim.F_stall (500 + (200 * tid))))) ())
     ([ 1396; 1179; 254; 10; 0 ], [])
 
+(* Decisions of a controlled, fault-free run are taken at the yield
+   points: a re-pick of the running thread runs on without an effect,
+   another choice suspends it.  The four tests below pin what that must
+   not change: one chooser call per decision, the same choices and costs
+   as the effect-per-step path, exceptions of the chooser leaving
+   [Sim.run] as themselves, and the thread's own failures as
+   [Thread_failure] with its tid. *)
+
+(* Three threads, each four rounds of reads, a write, [work] and a
+   2-word k-CAS over two shared cells. *)
+let mixed_bodies () =
+  let a = Mem.make_fresh 0 and b = Mem.make_fresh 0 in
+  let body tid () =
+    for i = 1 to 4 do
+      let v = Mem.get a in
+      Mem.set b (v + tid);
+      Mem.work (3 + tid);
+      let va = Mem.get a and vb = Mem.get b in
+      ignore
+        (Mem.kcas
+           [ Mem.kcas_op a ~expected:va ~desired:(va + i); Mem.kcas_op b ~expected:vb ~desired:vb ])
+    done
+  in
+  Array.init 3 body
+
+(* Runs of three positions at a time, rotating: re-picks and switches. *)
+let rotating_chooser calls log r =
+  incr calls;
+  let tid = Sim.runnable_tid r (!calls / 3 mod Sim.runnable_count r) in
+  log :=
+    ( List.init (Sim.runnable_count r) (fun i ->
+          (Sim.runnable_tid r i, Sim.runnable_action r i)),
+      tid )
+    :: !log;
+  tid
+
+let test_controlled_one_call_per_decision () =
+  let run faults =
+    Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+        let calls = ref 0 and log = ref [] in
+        let bodies = mixed_bodies () in
+        let makespan = Sim.run ~scheduler:(rotating_chooser calls log) ~faults sim bodies in
+        (!calls, Sim.decisions sim, makespan, (Sim.stats sim ~makespan).Sim.accesses, List.rev !log))
+  in
+  let calls, decisions, makespan, accesses, log = run [] in
+  Alcotest.(check int) "one chooser call per decision" decisions calls;
+  (* a start plus 6 yield points (3 reads, write, work, k-CAS) x 4 rounds *)
+  Alcotest.(check int) "decisions" (3 * (1 + (6 * 4))) decisions;
+  (* a fault that never comes due selects the effect-per-step path *)
+  let never = [ { Sim.fe_at = max_int; fe_tid = 0; fe_fault = Sim.F_stall 0 } ] in
+  let calls', decisions', makespan', accesses', log' = run never in
+  Alcotest.(check (list int)) "same counts as the effect-per-step path"
+    [ calls'; decisions'; makespan'; accesses' ]
+    [ calls; decisions; makespan; accesses ];
+  Alcotest.(check bool) "same runnable sets, lookaheads and choices" true (log = log')
+
+exception Chooser_gave_up of int
+
+let test_chooser_exception_unwrapped () =
+  List.iter
+    (fun k ->
+      Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+          let cell = Mem.make_fresh 0 in
+          let swallowed = ref false in
+          (* a body that catches everything must not see the chooser's
+             exception *)
+          let body _ () =
+            try
+              for _ = 1 to 20 do
+                Mem.set cell (Mem.get cell + 1)
+              done
+            with _ -> swallowed := true
+          in
+          let calls = ref 0 in
+          let sched r =
+            incr calls;
+            if !calls = k then raise (Chooser_gave_up k);
+            Sim.runnable_tid r 0
+          in
+          let got =
+            match Sim.run ~scheduler:sched sim (Array.init 3 body) with
+            | _ -> "returned"
+            | exception Chooser_gave_up j -> Printf.sprintf "Chooser_gave_up %d" j
+            | exception Sim.Thread_failure (tid, e, _) ->
+                Printf.sprintf "Thread_failure (%d, %s)" tid (Printexc.to_string e)
+          in
+          Alcotest.(check string) (Printf.sprintf "raised at decision %d" k)
+            (Printf.sprintf "Chooser_gave_up %d" k) got;
+          Alcotest.(check bool) "no body saw it" false !swallowed))
+    [ 1; 2; 7; 30 ]
+
+let test_finished_choice_rejected () =
+  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+      let cell = Mem.make_fresh 0 in
+      let body tid () =
+        for _ = 1 to (if tid = 0 then 1 else 10) do
+          ignore (Mem.get cell)
+        done
+      in
+      (* lowest runnable tid for four decisions — thread 0 starts, reads
+         and finishes, thread 1 starts and reads — then thread 0 again,
+         at thread 1's next yield point *)
+      let calls = ref 0 in
+      let sched r =
+        incr calls;
+        if !calls <= 4 then Sim.runnable_tid r 0 else 0
+      in
+      let got =
+        match Sim.run ~scheduler:sched sim (Array.init 2 body) with
+        | _ -> "returned"
+        | exception Invalid_argument msg -> msg
+        | exception Sim.Thread_failure (tid, e, _) ->
+            Printf.sprintf "Thread_failure (%d, %s)" tid (Printexc.to_string e)
+      in
+      Alcotest.(check string) "finished tid rejected"
+        "Sim.run: scheduler chose non-runnable thread 0" got;
+      Alcotest.(check int) "at the fifth decision" 5 !calls)
+
+let test_failure_after_repicks_attributed () =
+  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+      let cell = Mem.make_fresh 0 in
+      let body tid () =
+        for _ = 1 to 200 do
+          Mem.set cell (Mem.get cell + tid)
+        done;
+        if tid = 2 then failwith "thread 2 gives up"
+      in
+      (* the highest runnable tid: thread 2 runs its 400 steps re-picked *)
+      let sched r = Sim.runnable_tid r (Sim.runnable_count r - 1) in
+      let got =
+        match Sim.run ~scheduler:sched sim (Array.init 3 body) with
+        | _ -> "returned"
+        | exception Sim.Thread_failure (tid, e, _) ->
+            Printf.sprintf "Thread_failure (%d, %s)" tid (Printexc.to_string e)
+      in
+      Alcotest.(check string) "attributed to thread 2"
+        "Thread_failure (2, Failure(\"thread 2 gives up\"))" got;
+      Alcotest.(check int) "after its start and 400 re-picks" 401 (Sim.decisions sim))
+
 let suite =
   [
     Alcotest.test_case "simulated CAS counter is atomic" `Quick test_atomic_counter;
@@ -177,4 +316,12 @@ let suite =
     Alcotest.test_case "work() advances the clock" `Quick test_work_charges_cycles;
     Alcotest.test_case "thread exceptions propagate" `Quick test_thread_failure_propagates;
     Alcotest.test_case "free-running runs are pinned" `Quick test_free_running_pinned;
+    Alcotest.test_case "controlled: one chooser call per decision" `Quick
+      test_controlled_one_call_per_decision;
+    Alcotest.test_case "controlled: chooser exceptions leave unwrapped" `Quick
+      test_chooser_exception_unwrapped;
+    Alcotest.test_case "controlled: a finished tid is rejected" `Quick
+      test_finished_choice_rejected;
+    Alcotest.test_case "controlled: failure after re-picks keeps its tid" `Quick
+      test_failure_after_repicks_attributed;
   ]
