@@ -29,7 +29,14 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     count : int Mem.r;
   }
 
-  type 'v t = { segments : 'v segment array; rof : bool }
+  (* The segments live in [n_segments / block] blocks of [block]: OCaml
+     puts an array over 256 words straight in the major heap, and one
+     built from a young first element forces a minor collection, so a
+     single 512-segment array made every create pay one. *)
+  let block = 32
+  let block_shift = 5 (* log2 block *)
+
+  type 'v t = { segments : 'v segment array array; rof : bool }
 
   let name = "ht-java"
 
@@ -40,17 +47,22 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     let per_seg = Hash.pow2_at_least (max 1 (hint / n_segments)) 1 in
     {
       segments =
-        Array.init n_segments (fun _ ->
-            let line = Mem.new_line () in
-            {
-              lock = L.create line;
-              table = Mem.make line (mk_table per_seg);
-              count = Mem.make line 0;
-            });
+        Array.init (n_segments / block) (fun _ ->
+            Array.init block (fun _ ->
+                let line = Mem.new_line () in
+                {
+                  lock = L.create line;
+                  table = Mem.make line (mk_table per_seg);
+                  count = Mem.make line 0;
+                }));
       rof = read_only_fail;
     }
 
-  let segment t k = t.segments.(Hash.mix k land (n_segments - 1))
+  let segment t k =
+    let i = Hash.mix k land (n_segments - 1) in
+    t.segments.(i lsr block_shift).(i land (block - 1))
+
+  let iter_segments f t = Array.iter (Array.iter f) t.segments
 
   let slot_of tbl k = Hash.mix k lsr seg_shift land (Array.length tbl - 1)
 
@@ -141,12 +153,15 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       end
     end
 
-  let size t = Array.fold_left (fun acc seg -> acc + Mem.get seg.count) 0 t.segments
+  let size t =
+    let n = ref 0 in
+    iter_segments (fun seg -> n := !n + Mem.get seg.count) t;
+    !n
 
   let validate t =
     let seen = Hashtbl.create 64 in
     let ok = ref (Ok ()) in
-    Array.iter
+    iter_segments
       (fun seg ->
         let tbl = Mem.get seg.table in
         let counted = ref 0 in
@@ -165,7 +180,7 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
             go (Mem.get slot))
           tbl;
         if !counted <> Mem.get seg.count then ok := Error "segment count mismatch")
-      t.segments;
+      t;
     !ok
 
   let op_done _ = ()

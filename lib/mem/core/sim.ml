@@ -62,7 +62,6 @@ let runnable_count = Simtypes.runnable_count
 let runnable_tid = Simtypes.runnable_tid
 let runnable_action = Simtypes.runnable_action
 let runnable_find = Simtypes.runnable_find
-let runnable_copy = Simtypes.runnable_copy
 
 type scheduler = Simtypes.scheduler
 
@@ -689,7 +688,7 @@ exception Thread_failure of int * exn * string
     optional jitter folded into access costs.  The [runnable] record
     passed to the callback is {e reused} across decisions — the
     per-decision hot path allocates nothing — so schedulers must copy
-    ({!runnable_copy}) anything they retain past the callback.
+    anything they retain past the callback.
 
     Where a decision is taken depends on the run's inputs.  A thread's
     first step and the step after a thread finishes are decided in the

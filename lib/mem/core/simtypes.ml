@@ -51,9 +51,9 @@ let dependent a b =
     both through {!runnable_tid} / {!runnable_action}, which take a
     position in the set.  The simulator reuses one [runnable] record
     across every decision of a run — the per-decision hot path
-    allocates nothing — so schedulers must not retain it; callers that
-    need a snapshot (the SCT explorer keeps one per DFS node) use
-    {!runnable_copy}. *)
+    allocates nothing — so schedulers must not retain it: a caller
+    that needs a snapshot (the SCT explorer keeps one per DFS depth)
+    copies the tids and actions it wants. *)
 type runnable = {
   mutable rn : int;  (** live slots of [r_tids]; only indices [0..rn-1] are valid *)
   r_tids : int array;
@@ -70,16 +70,14 @@ let runnable_action r i =
   if i < 0 || i >= r.rn then invalid_arg "runnable_action: index out of range";
   r.r_acts.(r.r_tids.(i))
 
-(** Index of [tid] among the runnable threads, or [-1]. *)
+(** Index of [tid] among the runnable threads, or [-1].  A loop, not a
+    local recursive function: that would allocate a closure per call. *)
 let runnable_find r tid =
-  let rec go i = if i >= r.rn then -1 else if r.r_tids.(i) = tid then i else go (i + 1) in
-  go 0
-
-(** A detached snapshot, safe to retain after the decision returns:
-    the [rn] runnable tids and the whole per-tid action array (actions
-    are immutable, so sharing them is safe). *)
-let runnable_copy r =
-  { rn = r.rn; r_tids = Array.sub r.r_tids 0 r.rn; r_acts = Array.copy r.r_acts }
+  let i = ref 0 in
+  while !i < r.rn && r.r_tids.(!i) <> tid do
+    incr i
+  done;
+  if !i < r.rn then !i else -1
 
 (** A controlled scheduler: given the runnable threads, return the tid
     to resume.  Called at every resume-decision point of [Sim.run];

@@ -45,9 +45,12 @@ let add_sleep tid action (s : sleep) : sleep =
     depends on it (the commutation argument no longer applies).  [s]
     itself when nothing wakes. *)
 let wake action (s : sleep) : sleep =
-  if List.exists (fun (_, a) -> dependent a action) s then
-    List.filter (fun (_, a) -> not (dependent a action)) s
-  else s
+  match s with
+  | [] -> s
+  | _ ->
+      if List.exists (fun (_, a) -> dependent a action) s then
+        List.filter (fun (_, a) -> not (dependent a action)) s
+      else s
 
 (* ------------------------------------------------------------------ *)
 (* Incremental conflict index                                          *)
@@ -116,7 +119,8 @@ let create_index ~threads =
 let mark ix = Vec.length ix.trail
 
 (** Restore every cell overwritten since [m] was taken: the index is
-    again exactly what the steps pushed before [m] built. *)
+    again exactly what the steps pushed before [m] built ([undo_to ix 0]
+    empties it, so one index serves many explorations). *)
 let undo_to ix m =
   let tr = ix.trail in
   let k = ref (Vec.length tr) in
@@ -164,12 +168,15 @@ let write ix i tid l =
   set ix t_write slot i;
   set ix t_access slot i
 
+(** What {!step} returns for a stutter, which has no last conflict. *)
+let stutter = -2
+
 (** [step ix i tid action] pushes step [i] — [tid] performing [action]
     — onto the path.  Steps must be pushed in order, [i] being the
-    number of steps pushed before it.  Returns whether the step is a
-    stutter, and its last conflict: the latest earlier non-stutter step
-    by another thread that is {!dependent} on it, or -1 (always -1 for a
-    stutter).  O(threads × lines touched). *)
+    number of steps pushed before it.  Returns the step's last
+    conflict: the latest earlier non-stutter step by another thread
+    that is {!dependent} on it, -1 if there is none, or {!stutter}.
+    O(threads × lines touched). *)
 let step ix i tid action =
   if tid < 0 || tid >= ix.threads then invalid_arg "Dpor.step: tid out of range";
   match action with
@@ -178,24 +185,24 @@ let step ix i tid action =
       (* the thread's own writes end its read streak, so only other
          threads' writes can break a spin *)
       let c = latest_other ix ix.last_write l tid in
-      if ix.read_line.(tid) = l && c < ix.read_step.(tid) then (true, -1)
+      if ix.read_line.(tid) = l && c < ix.read_step.(tid) then stutter
       else begin
         set ix t_access ((l * ix.threads) + tid) i;
         set ix t_read_line tid l;
         set ix t_read_step tid i;
-        (false, c)
+        c
       end
   | Sim.A_access ((Sim.Write | Sim.Rmw), l) ->
       ensure_line ix l;
       let c = latest_other ix ix.last_access l tid in
       write ix i tid l;
       set ix t_read_line tid (-1);
-      (false, c)
+      c
   | Sim.A_kcas lines ->
       (* a k-CAS commit writes every touched line *)
       Array.iter (ensure_line ix) lines;
       let c = Array.fold_left (fun c l -> max c (latest_other ix ix.last_access l tid)) (-1) lines in
       Array.iter (write ix i tid) lines;
       set ix t_read_line tid (-1);
-      (false, c)
-  | Sim.A_start | Sim.A_work _ -> (false, -1)
+      c
+  | Sim.A_start | Sim.A_work _ -> -1

@@ -5,11 +5,33 @@
     The explorer is re-execution based: it never snapshots simulator
     state.  Each iteration runs the program from scratch under a
     controlled scheduler that follows the choices recorded on the DFS
-    stack and extends them with the default policy
+    path and extends them with the default policy
     ({!Scheduler.default_choice}); the simulator's determinism guarantees
     the replayed prefix reaches exactly the same decision points.  After
-    each run the deepest stack node with an unexplored alternative is
+    each run the deepest decision with an unexplored alternative is
     switched and everything below it is discarded.
+
+    The path is a set of flat per-depth arrays, not a stack of node
+    records: slot [d] holds the chosen tid, the length of the previous
+    thread's run before the decision, the preemptions and delays
+    spent through it, its DPOR mark and action, and its todo, explored
+    and sleep sets; one arena holds every slot's runnable tids.  The
+    arrays belong to the domain, not to the call (the way {!Sim} keeps
+    its installed simulation in [Domain.DLS]): an exploration takes
+    them out of their slot, reuses them across runs and puts them back
+    when it returns, so exploring allocates no path storage once they
+    are large enough.  A nested or concurrent call on the same domain
+    finds the slot empty and makes its own.
+
+    The default choice is free.  A decision below the prefix that a
+    run reaches for the first time takes the default policy's choice,
+    the head of {!Scheduler.candidate_order}: by construction it costs
+    no preemption and no delay, so its slot adds 0 to both budgets and
+    reads its action straight from the runnable set.  The cost
+    functions run only for decisions the prefix forces, for a choice a
+    backtrack switches (from the slot's snapshot) and for DPOR's
+    candidate backtrack points.  A switched slot's action is read when
+    the next run replays to it.
 
     Exploration is bounded by:
     - [preemptions]: schedules may deschedule a runnable thread mid-slice
@@ -71,23 +93,6 @@ let default_bounds =
     [bounds.max_steps].  [run] callbacks must let it propagate. *)
 exception Step_limit of int
 
-(* One decision point on the DFS stack.  [prev]/[run_len]/[preempts]/
-   [delays] snapshot the scheduling state *before* the decision, so
-   candidate costs can be recomputed when alternatives are expanded. *)
-type node = {
-  runnable : Sim.runnable;  (* detached snapshot (the simulator reuses its record) *)
-  prev : int;
-  run_len : int;
-  preempts : int;
-  delays : int;
-  mutable chosen : int;
-  mutable action : Sim.action;  (* lookahead action of [chosen] = the step performed *)
-  mutable todo : int list;  (* alternatives still to explore *)
-  mutable sleep : Dpor.sleep;
-  mutable explored : int list;  (* choices whose subtrees are done *)
-  mutable mark : int;  (* DPOR index position before this step was pushed *)
-}
-
 type failure = {
   f_desc : string;  (** what the oracle reported *)
   f_schedule : int array;  (** the failing run's full decision sequence *)
@@ -100,20 +105,107 @@ type report = {
   complete : bool;  (** the whole in-bound schedule space was explored *)
 }
 
-let dummy_node =
+(* The DFS path, column-wise: slot [d] of every array describes the
+   decision at depth [d].  The scheduling state {e before} it, which
+   prices alternatives when they are expanded, is [chosen.(d - 1)] (the
+   previous thread) and [run_len.(d)]. *)
+type path = {
+  mutable len : int;  (* decisions on the path *)
+  mutable chosen : int array;
+  mutable run_len : int array;
+  mutable preempts : int array;  (* preemptions spent by decisions [0..d] *)
+  mutable delays : int array;  (* delays spent by decisions [0..d] *)
+  mutable mark : int array;  (* DPOR index position before the step was pushed *)
+  mutable action : Sim.action array;  (* lookahead action of [chosen] = the step performed *)
+  mutable todo : int list array;  (* alternatives still to explore *)
+  mutable explored : int list array;  (* choices whose subtrees are done *)
+  mutable sleep : Dpor.sleep array;
+  (* the runnable snapshots: slot [d]'s [snap_n.(d)] tids, ascending,
+     from [d * stride] (stride = thread count) *)
+  mutable stride : int;
+  mutable snap_n : int array;
+  mutable snap_tid : int array;
+  (* scratch for one snapshot in record form, for the {!Scheduler} cost
+     functions (which read no actions) *)
+  mutable view : Sim.runnable;
+  mutable index : Dpor.index option;  (* DPOR's conflict index, reused *)
+}
+
+let new_path () =
   {
-    runnable = { Sim.rn = 0; r_tids = [||]; r_acts = [||] };
-    prev = -1;
-    run_len = 0;
-    preempts = 0;
-    delays = 0;
-    chosen = -1;
-    action = Sim.A_start;
-    todo = [];
-    sleep = Dpor.empty_sleep;
-    explored = [];
-    mark = 0;
+    len = 0;
+    chosen = [||];
+    run_len = [||];
+    preempts = [||];
+    delays = [||];
+    mark = [||];
+    action = [||];
+    todo = [||];
+    explored = [||];
+    sleep = [||];
+    stride = 0;
+    snap_n = [||];
+    snap_tid = [||];
+    view = { Sim.rn = 0; r_tids = [||]; r_acts = [||] };
+    index = None;
   }
+
+let grow p =
+  let cap = max 256 (2 * Array.length p.chosen) in
+  let ext a fill len =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  p.chosen <- ext p.chosen 0 cap;
+  p.run_len <- ext p.run_len 0 cap;
+  p.preempts <- ext p.preempts 0 cap;
+  p.delays <- ext p.delays 0 cap;
+  p.mark <- ext p.mark 0 cap;
+  p.action <- ext p.action Sim.A_start cap;
+  p.todo <- ext p.todo [] cap;
+  p.explored <- ext p.explored [] cap;
+  p.sleep <- ext p.sleep Dpor.empty_sleep cap;
+  p.snap_n <- ext p.snap_n 0 cap;
+  p.snap_tid <- ext p.snap_tid 0 (cap * p.stride)
+
+(* Size the snapshot arena for [threads] threads (kept when unchanged). *)
+let set_stride p threads =
+  if threads <> p.stride then begin
+    p.stride <- threads;
+    p.snap_tid <- Array.make (Array.length p.chosen * threads) 0;
+    p.view <- { Sim.rn = 0; r_tids = Array.make threads 0; r_acts = Array.make threads Sim.A_start }
+  end
+
+(* DPOR's conflict index for [p.stride] threads, empty: the previous
+   exploration's, rewound to its start, when the thread count matches. *)
+let fresh_index p =
+  match p.index with
+  | Some ix when ix.Dpor.threads = p.stride ->
+      Dpor.undo_to ix 0;
+      ix
+  | _ ->
+      let ix = Dpor.create_index ~threads:p.stride in
+      p.index <- Some ix;
+      ix
+
+(* Each domain keeps one path for its explorations, the way [Sim] keeps
+   its installed simulation.  A call takes it out of the slot while it
+   runs, so a nested or concurrent call on the same domain makes its
+   own. *)
+let path_slot : path option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let with_path f =
+  let slot = Domain.DLS.get path_slot in
+  let p =
+    match !slot with
+    | Some p ->
+        slot := None;
+        p
+    | None -> new_path ()
+  in
+  p.len <- 0;
+  Fun.protect ~finally:(fun () -> slot := Some p) (fun () -> f p)
 
 (** [explore ?mode ?bounds ~run ()] — [run ~sched] must execute the
     program under test from scratch inside a fresh simulation driven by
@@ -135,23 +227,24 @@ let dummy_node =
       cancel siblings once any task has found a failure). *)
 let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?on_defer
     ?stop ~run () =
-  let stack = Vec.create ~capacity:256 dummy_node in
+  with_path @@ fun p ->
   let plen = Array.length prefix in
   let wlimit = match window with Some w -> plen + w | None -> max_int in
-  let deferred = Hashtbl.create 16 in
-  (* Hand [stack.(0..j-1); p] to the coordinator as a new task's prefix.
-     Dedup by content: distinct runs of this task rediscover the same
-     out-of-window backtrack points. *)
-  let defer j p =
+  (* Hand [chosen.(0..j-1); t] to the coordinator as a new task's
+     prefix.  Dedup by content: distinct runs of this task rediscover
+     the same out-of-window backtrack points. *)
+  let defer =
     match on_defer with
-    | None -> ()
+    | None -> fun _ _ -> ()
     | Some emit ->
-        let pfx = Array.init (j + 1) (fun i -> if i = j then p else (Vec.get stack i).chosen) in
-        let key = String.concat "," (Array.to_list (Array.map string_of_int pfx)) in
-        if not (Hashtbl.mem deferred key) then begin
-          Hashtbl.add deferred key ();
-          emit pfx
-        end
+        let deferred = Hashtbl.create 16 in
+        fun j t ->
+          let pfx = Array.init (j + 1) (fun i -> if i = j then t else p.chosen.(i)) in
+          let key = String.concat "," (Array.to_list (Array.map string_of_int pfx)) in
+          if not (Hashtbl.mem deferred key) then begin
+            Hashtbl.add deferred key ();
+            emit pfx
+          end
   in
   let nsched = ref 0 in
   let nsteps = ref 0 in
@@ -163,71 +256,146 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
      replay unchanged, and their backtrack points are already added *)
   let index = ref None in
   let first_new = ref 0 in
-  let in_bounds nd tid =
+  (* slot [d]'s runnable snapshot as a record *)
+  let view d =
+    let v = p.view and n = p.snap_n.(d) and base = d * p.stride in
+    for i = 0 to n - 1 do
+      v.Sim.r_tids.(i) <- p.snap_tid.(base + i)
+    done;
+    v.Sim.rn <- n;
+    v
+  in
+  (* the budget in [spent] used above depth [d], and the thread that
+     ran before it *)
+  let above spent d = if d = 0 then 0 else spent.(d - 1) in
+  let prev d = if d = 0 then -1 else p.chosen.(d - 1) in
+  (* may [tid], runnable in [r], be chosen at depth [d] instead? *)
+  let in_bounds d r tid =
     (match bounds.preemptions with
-    | Some p ->
-        nd.preempts + Scheduler.preempt_cost ~prev:nd.prev ~run_len:nd.run_len nd.runnable tid <= p
+    | Some b ->
+        above p.preempts d
+        + Scheduler.preempt_cost ~prev:(prev d) ~run_len:p.run_len.(d) r tid
+        <= b
     | None -> true)
     && (match bounds.delays with
-       | Some d ->
-           nd.delays + Scheduler.delay_cost ~prev:nd.prev ~run_len:nd.run_len nd.runnable tid <= d
+       | Some b ->
+           above p.delays d + Scheduler.delay_cost ~prev:(prev d) ~run_len:p.run_len.(d) r tid
+           <= b
        | None -> true)
   in
-  let current_schedule () = Array.init (Vec.length stack) (fun i -> (Vec.get stack i).chosen) in
+  (* Charge [chosen.(d)]'s costs, from [r], the runnable set at [d]. *)
+  let charge d r =
+    let t = p.chosen.(d) and prev = prev d and run_len = p.run_len.(d) in
+    p.preempts.(d) <- above p.preempts d + Scheduler.preempt_cost ~prev ~run_len r t;
+    p.delays.(d) <- above p.delays d + Scheduler.delay_cost ~prev ~run_len r t
+  in
+  (* Record the decision at depth [d], reached for the first time, and
+     return its choice: the prefix's, else the default policy's. *)
+  let push st (r : Sim.runnable) d =
+    if d = Array.length p.chosen then grow p;
+    if d = 0 then set_stride p (Array.length r.Sim.r_acts);
+    let n = r.Sim.rn and base = d * p.stride in
+    for i = 0 to n - 1 do
+      p.snap_tid.(base + i) <- r.Sim.r_tids.(i)
+    done;
+    p.snap_n.(d) <- n;
+    p.run_len.(d) <- st.Scheduler.run_len;
+    let chosen = if d < plen then prefix.(d) else Scheduler.default_choice st r in
+    p.chosen.(d) <- chosen;
+    if d < plen then begin
+      p.action.(d) <- Scheduler.action_of chosen r;
+      charge d r
+    end
+    else begin
+      (* the default choice is free *)
+      p.action.(d) <- r.Sim.r_acts.(chosen);
+      p.preempts.(d) <- above p.preempts d;
+      p.delays.(d) <- above p.delays d
+    end;
+    (* a dropped slot's sets are usually already empty: testing first
+       skips the write barrier *)
+    if p.explored.(d) != [] then p.explored.(d) <- [];
+    if p.todo.(d) != [] then p.todo.(d) <- [];
+    let sleep =
+      if mode = Dpor && d > 0 then Dpor.wake p.action.(d - 1) p.sleep.(d - 1)
+      else Dpor.empty_sleep
+    in
+    if p.sleep.(d) != sleep then p.sleep.(d) <- sleep;
+    (match mode with
+    | Naive when d >= plen ->
+        let todo = ref [] in
+        for i = n - 1 downto 0 do
+          let t = r.Sim.r_tids.(i) in
+          if t <> chosen && in_bounds d r t then
+            if d >= wlimit then defer d t else todo := t :: !todo
+        done;
+        p.todo.(d) <- !todo
+    | Naive | Dpor -> ());
+    p.len <- d + 1;
+    chosen
+  in
+  (* DPOR: [t] conflicts with the step taken at depth [j]; explore it
+     there (or defer it) if it was runnable and fits the bounds *)
+  let add_backtrack j t =
+    if t <> p.chosen.(j) then begin
+      let v = view j in
+      if Scheduler.index_of t v >= 0 && in_bounds j v t then
+        if j < plen || j >= wlimit then defer j t
+        else if (not (List.mem t p.explored.(j))) && not (List.mem t p.todo.(j)) then
+          p.todo.(j) <- t :: p.todo.(j)
+    end
+  in
+  (* the next live alternative at depth [d], or -1 *)
+  let rec pick d =
+    match p.todo.(d) with
+    | [] -> -1
+    | t :: rest ->
+        p.todo.(d) <- rest;
+        if mode = Dpor && Dpor.in_sleep t p.sleep.(d) then pick d else t
+  in
+  (* Switch depth [d] to [t] and drop everything below it.  Its action
+     is read when the next run reaches it: replaying the path brings
+     back the same runnable set. *)
+  let switch d t =
+    p.chosen.(d) <- t;
+    charge d (view d);
+    (match !index with Some ix -> Dpor.undo_to ix p.mark.(d) | None -> ());
+    first_new := d;
+    p.len <- d + 1
+  in
+  (* The deepest slot with a live alternative, switched to it; false
+     when the in-bound space is exhausted.  A slot with nothing left to
+     try is dropped as it is: its explored and sleep sets die with it. *)
+  let rec backtrack d =
+    if d < plen then false
+    else
+      match p.todo.(d) with
+      | [] -> backtrack (d - 1)
+      | _ -> (
+          let c = p.chosen.(d) in
+          p.explored.(d) <- c :: p.explored.(d);
+          if mode = Dpor then p.sleep.(d) <- Dpor.add_sleep c p.action.(d) p.sleep.(d);
+          match pick d with
+          | -1 -> backtrack (d - 1)
+          | t ->
+              switch d t;
+              true)
+  in
   while not !finished do
-    (* ---- one run: follow the stack's choices, then default policy ---- *)
+    (* ---- one run: follow the path's choices, then default policy ---- *)
     let st = Scheduler.fresh_state () in
     let depth = ref 0 in
     let sched runnable =
       let d = !depth in
-      incr depth;
+      depth := d + 1;
       if d >= bounds.max_steps then raise (Step_limit d);
       let tid =
-        if d < Vec.length stack then (Vec.get stack d).chosen
-        else begin
-          let chosen =
-            if d < plen then prefix.(d) else Scheduler.default_choice st runnable
-          in
-          let parent = if d = 0 then None else Some (Vec.get stack (d - 1)) in
-          let cost f =
-            match parent with
-            | None -> 0
-            | Some p -> f ~prev:p.prev ~run_len:p.run_len p.runnable p.chosen
-          in
-          let node =
-            {
-              runnable = Sim.runnable_copy runnable;
-              prev = st.Scheduler.prev;
-              run_len = st.Scheduler.run_len;
-              preempts =
-                (match parent with None -> 0 | Some p -> p.preempts)
-                + cost Scheduler.preempt_cost;
-              delays =
-                (match parent with None -> 0 | Some p -> p.delays) + cost Scheduler.delay_cost;
-              chosen;
-              action = Scheduler.action_of chosen runnable;
-              todo = [];
-              sleep =
-                (match (mode, parent) with
-                | Dpor, Some p -> Dpor.wake p.action p.sleep
-                | _ -> Dpor.empty_sleep);
-              explored = [];
-              mark = 0;
-            }
-          in
-          (match mode with
-          | Naive when d >= plen ->
-              let todo = ref [] in
-              for i = Sim.runnable_count runnable - 1 downto 0 do
-                let t = Sim.runnable_tid runnable i in
-                if t <> chosen && in_bounds node t then
-                  if d >= wlimit then defer d t else todo := t :: !todo
-              done;
-              node.todo <- !todo
-          | Naive | Dpor -> ());
-          Vec.push stack node;
-          chosen
+        if d < p.len then begin
+          let t = p.chosen.(d) in
+          if d = !first_new then p.action.(d) <- runnable.Sim.r_acts.(t);
+          t
         end
+        else push st runnable d
       in
       Scheduler.note st tid;
       tid
@@ -238,39 +406,31 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
         Some (Printf.sprintf "step limit %d exceeded (possible livelock or starvation)" d)
     in
     incr nsched;
-    nsteps := !nsteps + Vec.length stack;
-    (match desc with
+    nsteps := !nsteps + p.len;
+    match desc with
     | Some d ->
-        failure := Some { f_desc = d; f_schedule = current_schedule () };
+        failure := Some { f_desc = d; f_schedule = Array.sub p.chosen 0 p.len };
         complete := false;
         finished := true
-    | None -> (
+    | None ->
         (* ---- DPOR: add backtrack points from the steps this run added ---- *)
-        (if mode = Dpor && Vec.length stack > 0 then begin
-           let ix =
-             match !index with
-             | Some ix -> ix
-             | None ->
-                 let threads = Array.length (Vec.get stack 0).runnable.Sim.r_acts in
-                 let ix = Dpor.create_index ~threads in
-                 index := Some ix;
-                 ix
-           in
-           for i = !first_new to Vec.length stack - 1 do
-             let ni = Vec.get stack i in
-             ni.mark <- Dpor.mark ix;
-             match (ni.action, Dpor.step ix i ni.chosen ni.action) with
-             | Sim.A_access _, (false, j) when j >= 0 ->
-                 let nj = Vec.get stack j in
-                 let p = ni.chosen in
-                 if p <> nj.chosen && Scheduler.index_of p nj.runnable >= 0 && in_bounds nj p
-                 then
-                   if j < plen || j >= wlimit then defer j p
-                   else if (not (List.mem p nj.explored)) && not (List.mem p nj.todo) then
-                     nj.todo <- p :: nj.todo
-             | _ -> ()
-           done
-         end);
+        if mode = Dpor && p.len > 0 then begin
+          let ix =
+            match !index with
+            | Some ix -> ix
+            | None ->
+                let ix = fresh_index p in
+                index := Some ix;
+                ix
+          in
+          for i = !first_new to p.len - 1 do
+            p.mark.(i) <- Dpor.mark ix;
+            let j = Dpor.step ix i p.chosen.(i) p.action.(i) in
+            match p.action.(i) with
+            | Sim.A_access _ when j >= 0 -> add_backtrack j p.chosen.(i)
+            | _ -> ()
+          done
+        end;
         (match bounds.max_schedules with
         | Some budget when !nsched >= budget ->
             complete := false;
@@ -282,35 +442,8 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
             finished := true
         | _ -> ());
         (* ---- backtrack: deepest node with a live alternative ---- *)
-        if not !finished then begin
-          let rec backtrack d =
-            if d < plen then None
-            else begin
-              let nd = Vec.get stack d in
-              nd.explored <- nd.chosen :: nd.explored;
-              if mode = Dpor then nd.sleep <- Dpor.add_sleep nd.chosen nd.action nd.sleep;
-              let rec pick () =
-                match nd.todo with
-                | [] -> None
-                | t :: rest ->
-                    nd.todo <- rest;
-                    if mode = Dpor && Dpor.in_sleep t nd.sleep then pick () else Some t
-              in
-              match pick () with
-              | Some t ->
-                  nd.chosen <- t;
-                  nd.action <- Scheduler.action_of t nd.runnable;
-                  (match !index with Some ix -> Dpor.undo_to ix nd.mark | None -> ());
-                  first_new := d;
-                  Vec.truncate stack (d + 1);
-                  Some ()
-              | None -> backtrack (d - 1)
-            end
-          in
-          match backtrack (Vec.length stack - 1) with
-          | Some () -> ()
-          | None -> finished := true (* in-bound space exhausted *)
-        end))
+        if (not !finished) && not (backtrack (p.len - 1)) then
+          finished := true (* in-bound space exhausted *)
   done;
   { failure = !failure; schedules = !nsched; steps = !nsteps; complete = !complete }
 

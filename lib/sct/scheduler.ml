@@ -47,6 +47,21 @@ let action_of tid runnable =
   | -1 -> invalid_arg "Scheduler.action_of: thread not runnable"
   | i -> Sim.runnable_action runnable i
 
+(* Where {!candidate_order}'s rotation starts: the position after the
+   previous thread when it is runnable (at [prev_idx]), else the first
+   tid above it, wrapping to 0.  A loop, not a local recursive
+   function: that would allocate a closure per call. *)
+let rotation_start ~prev ~prev_idx (runnable : Sim.runnable) =
+  let n = Sim.runnable_count runnable in
+  if prev_idx >= 0 then (prev_idx + 1) mod n
+  else begin
+    let i = ref 0 in
+    while !i < n && Sim.runnable_tid runnable !i <= prev do
+      incr i
+    done;
+    if !i < n then !i else 0
+  end
+
 (** The candidate order at one decision point, best (default) first:
     the previous thread while its slice lasts, then the other runnable
     threads in cyclic tid order starting after it.  The position of a
@@ -57,17 +72,7 @@ let candidate_order st (runnable : Sim.runnable) =
   else begin
     let prev_idx = if st.prev >= 0 then index_of st.prev runnable else -1 in
     let continue_first = prev_idx >= 0 && st.run_len < time_slice in
-    (* rotation: tids strictly after prev in cyclic order *)
-    let start =
-      if prev_idx >= 0 then (prev_idx + 1) mod n
-      else begin
-        (* no live previous thread: start from the first tid above it *)
-        let rec first i =
-          if i >= n then 0 else if Sim.runnable_tid runnable i > st.prev then i else first (i + 1)
-        in
-        first 0
-      end
-    in
+    let start = rotation_start ~prev:st.prev ~prev_idx runnable in
     let rest = ref [] in
     for k = n - 1 downto 0 do
       let i = (start + k) mod n in
@@ -76,19 +81,6 @@ let candidate_order st (runnable : Sim.runnable) =
     if prev_idx < 0 then !rest
     else if continue_first then st.prev :: !rest
     else !rest @ [ st.prev ]
-  end
-
-(* Where [candidate_order]'s rotation starts: the position after the
-   previous thread when it is runnable (at [prev_idx]), else the first
-   tid above it, wrapping to 0. *)
-let rotation_start ~prev ~prev_idx (runnable : Sim.runnable) =
-  let n = Sim.runnable_count runnable in
-  if prev_idx >= 0 then (prev_idx + 1) mod n
-  else begin
-    let rec first i =
-      if i >= n then 0 else if Sim.runnable_tid runnable i > prev then i else first (i + 1)
-    in
-    first 0
   end
 
 (** The head of {!candidate_order}, computed without building it: the
@@ -357,7 +349,7 @@ let pct_chooser rng ~depth ~length : Sim.scheduler =
     simulator; exact replays of complete prefixes never hit this path.
     [on_step] observes every decision: the step index, the runnable set
     and the chosen tid.  The runnable record is the simulator's reused
-    one — callbacks that retain it must take a {!Sim.runnable_copy}. *)
+    one: callbacks must copy what they keep of it. *)
 let prefix_scheduler ?on_step ~prefix () : Sim.scheduler =
   let st = fresh_state () in
   let step = ref 0 in

@@ -435,10 +435,18 @@ let test_classify_lock_free_survives () =
    replay path (test/replay/): two SCT findings (schema v1; the second
    under the flat model, so it carries the model field) and two FAULT
    findings (schema v2: a lock-holder wedge without post-run oracles,
-   and a stall with them). *)
+   and a stall with them).  The EXPLORE_CE files are the counterexamples
+   [ascy_explore -model mesi,flat -policy exhaustive] writes for the five
+   asynchronized structures; CI compares the sweep's output with them
+   byte for byte. *)
 let replay_dir = if Sys.file_exists "replay" then "replay" else "test/replay"
 let fixture name = Filename.concat replay_dir name
-let sct_fixtures = [ "sct_ll-async_conservation.json"; "sct_ll-async_race_flat.json" ]
+
+let sct_fixtures =
+  [ "sct_ll-async_conservation.json"; "sct_ll-async_race_flat.json" ]
+  @ List.map
+      (fun a -> Printf.sprintf "EXPLORE_CE_%s_exhaustive.json" a)
+      [ "ll-async"; "ht-async"; "sl-async"; "bst-async-int"; "bst-async-ext" ]
 
 let fixtures =
   sct_fixtures @ [ "fault_ll-lazy_wedge.json"; "fault_ll-async_stall_oracles.json" ]

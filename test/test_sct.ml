@@ -298,6 +298,83 @@ let test_pct_depth_guarantee () =
   Alcotest.(check bool) "depth-2 PCT finds the violation" true (explore 2 <> None)
 
 (* ------------------------------------------------------------------ *)
+(* Exploration order                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The schedule counts above pin how many schedules an exploration
+   runs; this pins which ones and in what order.  The digest folds in
+   every run's full decision sequence as the simulator saw it, every
+   prefix [on_defer] emits, in order, and the report.  The expected
+   values were recorded before the explorer's DFS path became flat
+   arrays, which must not change a single decision. *)
+let order_digest ?prefix ?window ~mode ~bounds spec =
+  let maker = Sct.maker_of spec in
+  let h = ref (Digest.string "") in
+  let fold tag ints =
+    let b = Buffer.create 1024 in
+    Buffer.add_string b (Digest.to_hex !h);
+    Buffer.add_string b tag;
+    Array.iter (fun t -> Buffer.add_string b (string_of_int t ^ ",")) ints;
+    h := Digest.string (Buffer.contents b)
+  in
+  let run ~sched =
+    let trace = Ascy_util.Vec.create ~capacity:256 0 in
+    let sched r =
+      let t = sched r in
+      Ascy_util.Vec.push trace t;
+      t
+    in
+    Fun.protect
+      ~finally:(fun () -> fold "run:" (Ascy_util.Vec.to_array trace))
+      (fun () -> Sct.run_once maker spec ~sched)
+  in
+  let r = Explorer.explore ~mode ~bounds ?prefix ?window ~on_defer:(fold "defer:") ~run () in
+  let f_desc, f_schedule =
+    match r.Explorer.failure with
+    | Some f -> (f.Explorer.f_desc, f.Explorer.f_schedule)
+    | None -> ("", [||])
+  in
+  fold ("report:" ^ f_desc)
+    (Array.append
+       [| r.Explorer.schedules; r.Explorer.steps; Bool.to_int r.Explorer.complete |]
+       f_schedule);
+  (r.Explorer.schedules, Digest.to_hex !h)
+
+let test_exploration_order_pinned () =
+  let case label expected (schedules, digest) =
+    Alcotest.(check (pair int string)) label expected (schedules, digest)
+  in
+  let default = Explorer.default_bounds and small = small_bounds in
+  List.iter
+    (fun (label, spec, mode, bounds, expected) ->
+      case label expected (order_digest ~mode ~bounds spec))
+    [
+      ("ll-lazy duel, dpor", duel "ll-lazy", Explorer.Dpor, default,
+       (215, "9c79e6d47ddc332738131ffaa29ac92f"));
+      ("ll-lazy fuzz, dpor", fuzz "ll-lazy", Explorer.Dpor, small,
+       (57, "ce25435d9459a82c20fe6d5cd5e67236"));
+      (* three threads, so the order alternatives are tried in shows *)
+      ("ll-lazy fuzz, naive", fuzz "ll-lazy", Explorer.Naive, small,
+       (688, "9c05d2b5633853bb458d727263ab2bca"));
+      ("ht-java duel, dpor", duel "ht-java", Explorer.Dpor, default,
+       (142, "17aa4f2a102476476e208dc120515e28"));
+      ("ht-java duel, naive", duel "ht-java", Explorer.Naive, default,
+       (1680, "db2c15e5120d4c84ebe31cde7dc34c71"));
+      (* the seq list fails on its 4th schedule: the failure and its
+         schedule are part of the report *)
+      ("ll-async duel, failing dpor", duel "ll-async", Explorer.Dpor, default,
+       (4, "194ce342f07c98d0f1ab68d2706aeb63"));
+    ];
+  (* one Par_explore task: a forced two-decision prefix that spends a
+     preemption and delays, and a window, so backtrack points above the
+     prefix and below the window are deferred while the rest are
+     explored here *)
+  case "ll-lazy fuzz task under a prefix and window"
+    (11, "ae9d7e40d5486b33c93d49196c4c741b")
+    (order_digest ~prefix:[| 1; 0 |] ~window:30 ~mode:Explorer.Dpor ~bounds:default
+       (fuzz "ll-lazy"))
+
+(* ------------------------------------------------------------------ *)
 (* The incomplete flag                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -452,29 +529,32 @@ let prop_index_matches_reference =
               let i = Vec.length path in
               Vec.push marks (Dpor.mark ix);
               Vec.push path (tid, a);
-              let stutter, conflict = Dpor.step ix i tid a in
+              let got = Dpor.step ix i tid a in
               let steps = Vec.to_array path in
               let flags = ref_stutter_flags steps in
-              stutter = flags.(i) && conflict = ref_last_conflict steps flags i)
+              got = if flags.(i) then Dpor.stutter else ref_last_conflict steps flags i)
         ops)
 
 let test_index_cases () =
   let ix = Dpor.create_index ~threads:2 in
   let step i tid a = Dpor.step ix i tid a in
-  let check msg expected got = Alcotest.(check (pair bool int)) msg expected got in
-  check "first read" (false, -1) (step 0 0 (Sim.A_access (Sim.Read, 5)));
-  check "re-read of an unwritten line stutters" (true, -1) (step 1 0 (Sim.A_access (Sim.Read, 5)));
+  let check msg expected got = Alcotest.(check int) msg expected got in
+  check "first read" (-1) (step 0 0 (Sim.A_access (Sim.Read, 5)));
+  check "re-read of an unwritten line stutters" Dpor.stutter (step 1 0 (Sim.A_access (Sim.Read, 5)));
   let before_write = Dpor.mark ix in
-  check "write skips the stutter, conflicts with the first read" (false, 0)
+  check "write skips the stutter, conflicts with the first read" 0
     (step 2 1 (Sim.A_access (Sim.Write, 5)));
-  check "re-read after a write is progress" (false, 2) (step 3 0 (Sim.A_access (Sim.Read, 5)));
-  check "read of another line" (false, -1) (step 4 0 (Sim.A_access (Sim.Read, 9)));
-  check "k-CAS conflicts with the latest read of a member line" (false, 4)
+  check "re-read after a write is progress" 2 (step 3 0 (Sim.A_access (Sim.Read, 5)));
+  check "read of another line" (-1) (step 4 0 (Sim.A_access (Sim.Read, 9)));
+  check "k-CAS conflicts with the latest read of a member line" 4
     (step 5 1 (Sim.A_kcas [| 5; 9 |]));
-  check "read after the k-CAS conflicts with it" (false, 5) (step 6 0 (Sim.A_access (Sim.Read, 9)));
+  check "read after the k-CAS conflicts with it" 5 (step 6 0 (Sim.A_access (Sim.Read, 9)));
   Dpor.undo_to ix before_write;
-  check "after undo the re-read stutters again" (true, -1) (step 2 0 (Sim.A_access (Sim.Read, 5)));
-  check "after undo the k-CAS sees only step 0" (false, 0) (step 3 1 (Sim.A_kcas [| 5; 9 |]))
+  check "after undo the re-read stutters again" Dpor.stutter
+    (step 2 0 (Sim.A_access (Sim.Read, 5)));
+  check "after undo the k-CAS sees only step 0" 0 (step 3 1 (Sim.A_kcas [| 5; 9 |]));
+  Dpor.undo_to ix 0;
+  check "undone to its start the index is empty" (-1) (step 0 1 (Sim.A_access (Sim.Write, 5)))
 
 (* The closed-form default choice and delay cost against
    [candidate_order], the list they stand for: runnable sets of 1-6 tids
@@ -512,6 +592,7 @@ let prop_costs_match_candidate_order =
       let order = Scheduler.candidate_order { Scheduler.prev; run_len } r in
       List.sort compare order = tids
       && Scheduler.default_choice { Scheduler.prev; run_len } r = List.hd order
+      && Scheduler.preempt_cost ~prev ~run_len r (List.hd order) = 0
       && List.for_all2
            (fun i t -> Scheduler.delay_cost ~prev ~run_len r t = i)
            (List.init (List.length order) Fun.id)
@@ -553,6 +634,8 @@ let suite =
       test_howley_fuzz_space_clean_and_pinned;
     Alcotest.test_case "ll-pathcas duel+fuzz spaces clean and pinned" `Quick
       test_pathcas_spaces_clean_and_pinned;
+    Alcotest.test_case "exploration order pinned: decisions, deferrals, reports" `Quick
+      test_exploration_order_pinned;
     Alcotest.test_case "incomplete flag propagates into report JSON" `Quick
       test_incomplete_flag_propagates;
     Alcotest.test_case "dpor index: stutter skip, k-CAS vs read, undo" `Quick test_index_cases;
