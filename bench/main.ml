@@ -1,10 +1,10 @@
 (* ASCYLIB-OCaml benchmark harness.
 
    Regenerates every table and figure of the paper's evaluation (see
-   DESIGN.md's experiment index).  Simulated experiments run on the
-   modeled platforms; the Bechamel suite measures real native
-   per-operation cost.  ASCY_BENCH_MODE=quick|default|full scales the
-   sweeps; ASCY_BENCH_ONLY=fig4 (comma-separated) selects experiments.
+   DESIGN.md's experiment index) on the modeled platforms.  Native
+   per-operation cost is measured by the perf ledger (perf/).
+   ASCY_BENCH_MODE=quick|default|full scales the sweeps;
+   ASCY_BENCH_ONLY=fig4 (comma-separated) selects experiments.
 
    Next to each experiment's text tables, a structured record of every
    run is written to BENCH_<exp>.json (see Ascy_harness.Results for the
@@ -16,7 +16,6 @@ module J = Ascy_util.Json
 let experiments =
   [
     ("table1", Exp_table1.run);
-    ("micro", Micro.run);
     ("fig2", Exp_fig2.run);
     ("fig3", Exp_fig3.run);
     ("fig4", Exp_fig4.run);

@@ -5,27 +5,54 @@
     domain.  Algorithm-level events are not counted: [emit] is a no-op,
     and event counts come from the simulator ({!Sim}).
 
-    Cells are one indirection richer than a bare [Atomic.t] so that
-    {!Memory.S.kcas} can be lock-free: a cell holds either a plain value
-    ([Kdx_v]) or a published piece of an in-flight multi-word CAS — a
-    k-CAS descriptor entry ([Kdx_k]) or an RDCSS sub-descriptor
-    ([Kdx_r]), in the style of Harris, Fraser & Pratt, "A practical
-    multi-word compare-and-swap operation" (DISC 2002).  Any thread that
-    runs into a descriptor {e helps} finish it, so a committer that
-    stalls (or dies) mid-commit never blocks the others.
+    {2 Cells}
 
-    The two-phase protocol:
+    A cell is one block, [{ kdx_v; kdx_id }].  Field 0 holds either the
+    plain value itself or a published piece of an in-flight multi-word
+    CAS, and is read and CASed as an [Atomic.t]: [%atomic_load] and
+    [%atomic_cas] act on field 0 of any block, so {!kdx_atomic} views the
+    cell as one.  A plain [get] is one load and the descriptor check
+    below; [set], [cas] and [fetch_and_add] allocate nothing.  This is
+    how PathCAS (Brown, Sigouin & Alistarh, 2022) lays out its words:
+    plain values raw, descriptors marked.
+
+    {2 Descriptors and the mark}
+
+    The published pieces are two tag-0 records, a k-CAS entry
+    ({!kdx_entry}, 5 fields) and an RDCSS sub-descriptor ({!kdx_rd}, 2
+    fields).  Field 0 of each is {!kdx_mark}, a block allocated once
+    here and never handed to a caller.  A value [v] is a descriptor iff
+    [Obj.is_block v && Obj.size v >= 1], its field 0 is physically
+    [kdx_mark], and [Obj.tag v = 0]; the two kinds differ in size.
+
+    Soundness: a caller's value is never one of ours.  The mark is not
+    exported ([mem_native.mli]), [get] never returns a descriptor and
+    [kcas_op] builds a record whose field 0 is the cell, so no caller
+    can build a tag-0 block whose field 0 is the mark.  Blocks of other
+    tags (floats, float arrays, strings, custom blocks, closures) may
+    hold raw bits in field 0 that happen to equal the mark's address;
+    the tag test rejects them.  It runs only after the field-0 match,
+    because [Obj.tag] is a C call.  The size test keeps [[||]], a
+    size-0 atom, from being read past its header.
+
+    {2 The multi-word CAS}
+
+    {!Memory.S.kcas} is lock-free in the style of Harris, Fraser & Pratt,
+    "A practical multi-word compare-and-swap operation" (DISC 2002).
+    Any thread that runs into a descriptor {e helps} finish it, so a
+    committer that stalls (or dies) mid-commit never blocks the others.
     - {e acquire} (phase 1): for each entry, in ascending cell-id order
       (which bounds recursive helping — a cycle would need two
       descriptors each holding a cell the other acquired later in the
-      same order), an RDCSS conditionally installs the descriptor: the
-      sub-descriptor only resolves to the descriptor while its status is
-      still [Kdx_undecided], so no entry can be acquired after the
-      descriptor was already decided.  A non-expected value decides
-      failure.
+      same order), an RDCSS conditionally installs the entry: the
+      sub-descriptor only resolves to the entry while the status is
+      still [Kdx_undecided], and otherwise restores the raw value it
+      replaced (physically the entry's expected value), so no entry can
+      be acquired after the descriptor was decided.  A non-expected
+      value decides failure.
     - {e decide}: one CAS on the status — the linearization point.
-    - {e release} (phase 2): each acquired cell is CASed from the
-      descriptor to the desired (success) or expected (failure) value.
+    - {e release} (phase 2): each acquired cell is CASed from the entry
+      to the desired (success) or expected (failure) value.
 
     All descriptor internals carry the [kdx_] prefix: [ascy_lint]'s
     rule C confines that prefix to the two backend files, so CSDS code
@@ -45,53 +72,58 @@ type line = unit
 
 let new_line () = ()
 
+(* [kdx_v] is only ever accessed through [kdx_atomic]. *)
+type kdx_cell = { mutable kdx_v : Obj.t; kdx_id : int }
+
+type 'a r = kdx_cell
+
 type kdx_status = Kdx_undecided | Kdx_succeeded | Kdx_failed
 
-type 'a content =
-  | Kdx_v of 'a  (** a plain value *)
-  | Kdx_k of kdx_desc * 'a * 'a  (** descriptor, expected, desired *)
-  | Kdx_r of kdx_rd  (** RDCSS sub-descriptor (conditional install) *)
+(* [kdx_entries] is filled in before the descriptor is published. *)
+type kdx_desc = { kdx_st : kdx_status Atomic.t; mutable kdx_entries : kdx_entry array }
 
-and kdx_desc = { kdx_st : kdx_status Atomic.t; kdx_entries : kdx_entry array }
+and kdx_entry = {
+  kdx_emark : Obj.t;  (** [kdx_mark] *)
+  kdx_d : kdx_desc;
+  kdx_c : kdx_cell;
+  kdx_exp : Obj.t;
+  kdx_des : Obj.t;
+}
 
-and kdx_entry = Kdx_e : { kdx_c : 'a r; kdx_exp : 'a; kdx_des : 'a } -> kdx_entry
+type kdx_rd = { kdx_rmark : Obj.t;  (** [kdx_mark] *) kdx_rd_e : kdx_entry }
 
-and kdx_rd =
-  | Kdx_rd : {
-      kdx_rd_desc : kdx_desc;
-      kdx_rd_cell : 'a r;
-      kdx_rd_old : 'a content;  (** the witnessed [Kdx_v] box to restore *)
-      kdx_rd_new : 'a content;  (** the [Kdx_k] box to install *)
-    }
-      -> kdx_rd
+let kdx_mark : Obj.t = Obj.repr (ref ())
 
-and 'a r = { kdx_id : int; kdx_cell : 'a content Atomic.t }
+let[@inline] kdx_atomic (c : kdx_cell) : Obj.t Atomic.t = Obj.magic c
+
+(* Field 0 read as a plain load: [Obj.field] would test for a float
+   array first.  No allocation or poll point separates the load from the
+   comparison, so raw bits from a non-scanned block are never seen by
+   the GC. *)
+type kdx_probe = { kdx_f0 : Obj.t }
+
+let[@inline] kdx_is_desc v =
+  Obj.is_block v
+  && Obj.size v >= 1
+  && (Obj.obj v : kdx_probe).kdx_f0 == kdx_mark
+  && Obj.tag v = 0
 
 let kdx_next_cell = Atomic.make 0
 
-let make () v = { kdx_id = Atomic.fetch_and_add kdx_next_cell 1; kdx_cell = Atomic.make (Kdx_v v) }
+let make () v = { kdx_v = Obj.repr v; kdx_id = Atomic.fetch_and_add kdx_next_cell 1 }
 let make_fresh v = make () v
 
-(* Resolve an RDCSS sub-descriptor found in its cell: install the k-CAS
-   descriptor if it is still undecided, otherwise restore the witnessed
-   value.  The CAS expects the exact content box we just read, so a
-   helper who lost the race is a harmless no-op. *)
+(* Resolve an RDCSS sub-descriptor found in its cell: install the entry
+   if the descriptor is still undecided, otherwise restore the expected
+   value it replaced.  The CAS expects this very sub-descriptor (one is
+   allocated per attempt), so a helper who lost the race is a harmless
+   no-op. *)
 let kdx_complete (rd : kdx_rd) =
-  match rd with
-  | Kdx_rd r -> (
-      match Atomic.get r.kdx_rd_cell.kdx_cell with
-      | Kdx_r rd' as cur when rd' == rd ->
-          let next =
-            if Atomic.get r.kdx_rd_desc.kdx_st = Kdx_undecided then r.kdx_rd_new
-            else r.kdx_rd_old
-          in
-          ignore (Atomic.compare_and_set r.kdx_rd_cell.kdx_cell cur next)
-      | _ -> ())
+  let e = rd.kdx_rd_e in
+  let next = if Atomic.get e.kdx_d.kdx_st = Kdx_undecided then Obj.repr e else e.kdx_exp in
+  ignore (Atomic.compare_and_set (kdx_atomic e.kdx_c) (Obj.repr rd) next)
 
-(** Test-only: called after each successful phase-1 acquisition with the
-    number of entries acquired so far.  The helping unit test raises out
-    of it to model a committer crash-stopped mid-commit, then lets an
-    ordinary access finish the descriptor. *)
+(* Test-only; see the interface. *)
 let kdx_acquire_hook : (int -> unit) ref = ref (fun _ -> ())
 
 exception Kdx_done of kdx_status
@@ -99,40 +131,30 @@ exception Kdx_done of kdx_status
 (* Run [d] to completion (any thread may call this on any descriptor it
    encounters); returns the final status. *)
 let rec kdx_help (d : kdx_desc) : kdx_status =
-  let n = Array.length d.kdx_entries in
+  let entries = d.kdx_entries in
   let proposed =
     try
-      for i = 0 to n - 1 do
-        (match d.kdx_entries.(i) with
-        | Kdx_e e ->
+      for i = 0 to Array.length entries - 1 do
+        let e = entries.(i) in
+        let cell = kdx_atomic e.kdx_c in
         let rec acquire () =
           if Atomic.get d.kdx_st <> Kdx_undecided then raise (Kdx_done (Atomic.get d.kdx_st));
-          match Atomic.get e.kdx_c.kdx_cell with
-          | Kdx_k (d', _, _) when d' == d -> () (* acquired (maybe by a helper) *)
-          | Kdx_k (d', _, _) ->
-              ignore (kdx_help d');
-              acquire ()
-          | Kdx_r rd ->
-              kdx_complete rd;
-              acquire ()
-          | Kdx_v v as witnessed ->
-              if v != e.kdx_exp then raise (Kdx_done Kdx_failed);
-              let rd =
-                Kdx_rd
-                  {
-                    kdx_rd_desc = d;
-                    kdx_rd_cell = e.kdx_c;
-                    kdx_rd_old = witnessed;
-                    kdx_rd_new = Kdx_k (d, e.kdx_exp, e.kdx_des);
-                  }
-              in
-              if Atomic.compare_and_set e.kdx_c.kdx_cell witnessed (Kdx_r rd) then
-                kdx_complete rd;
-              (* re-check: the sub-descriptor resolved to the descriptor,
-                 or was rolled back because the status was decided *)
-              acquire ()
+          let cur = Atomic.get cell in
+          if cur == Obj.repr e then () (* acquired (maybe by a helper) *)
+          else if kdx_is_desc cur then begin
+            kdx_resolve cur;
+            acquire ()
+          end
+          else if cur != e.kdx_exp then raise (Kdx_done Kdx_failed)
+          else begin
+            let rd = { kdx_rmark = kdx_mark; kdx_rd_e = e } in
+            if Atomic.compare_and_set cell cur (Obj.repr rd) then kdx_complete rd;
+            (* re-check: the sub-descriptor resolved to the entry, or
+               was rolled back because the status was decided *)
+            acquire ()
+          end
         in
-        acquire ());
+        acquire ();
         !kdx_acquire_hook (i + 1)
       done;
       Kdx_succeeded
@@ -142,84 +164,92 @@ let rec kdx_help (d : kdx_desc) : kdx_status =
   let final = Atomic.get d.kdx_st in
   (* release every cell still publishing this descriptor *)
   Array.iter
-    (fun entry ->
-      match entry with
-      | Kdx_e e ->
-          let rec release () =
-            match Atomic.get e.kdx_c.kdx_cell with
-            | Kdx_k (d', _, _) as cur when d' == d ->
-                let out = if final = Kdx_succeeded then Kdx_v e.kdx_des else Kdx_v e.kdx_exp in
-                if not (Atomic.compare_and_set e.kdx_c.kdx_cell cur out) then release ()
-            | _ -> ()
-          in
-          release ())
-    d.kdx_entries;
+    (fun e ->
+      let cell = kdx_atomic e.kdx_c in
+      if Atomic.get cell == Obj.repr e then
+        ignore
+          (Atomic.compare_and_set cell (Obj.repr e)
+             (if final = Kdx_succeeded then e.kdx_des else e.kdx_exp)))
+    entries;
   final
 
-(* Read the cell's logical value.  A decided/undecided descriptor entry
-   is peeked through (the read linearizes before or after the commit);
-   an RDCSS sub-descriptor is completed first, because its witnessed
-   value is existentially typed away. *)
-let rec get r =
-  match Atomic.get r.kdx_cell with
-  | Kdx_v v -> v
-  | Kdx_k (d, exp, des) -> (
-      match Atomic.get d.kdx_st with Kdx_succeeded -> des | Kdx_undecided | Kdx_failed -> exp)
-  | Kdx_r rd ->
-      kdx_complete rd;
-      get r
+(* Get descriptor [v] out of the way: finish the k-CAS an entry belongs
+   to, or resolve a sub-descriptor. *)
+and kdx_resolve v =
+  if Obj.size v = 2 then kdx_complete (Obj.obj v : kdx_rd)
+  else ignore (kdx_help (Obj.obj v : kdx_entry).kdx_d)
 
-let rec set r v =
-  match Atomic.get r.kdx_cell with
-  | Kdx_v _ as cur -> if not (Atomic.compare_and_set r.kdx_cell cur (Kdx_v v)) then set r v
-  | Kdx_k (d, _, _) ->
-      ignore (kdx_help d);
-      set r v
-  | Kdx_r rd ->
-      kdx_complete rd;
-      set r v
+(* The logical value of a cell that holds descriptor [v].  An entry is
+   peeked through (the read linearizes before or after the commit); a
+   sub-descriptor is resolved first. *)
+let rec kdx_read c v =
+  if Obj.size v = 2 then begin
+    kdx_complete (Obj.obj v : kdx_rd);
+    let v = Atomic.get (kdx_atomic c) in
+    if kdx_is_desc v then kdx_read c v else v
+  end
+  else
+    let e : kdx_entry = Obj.obj v in
+    match Atomic.get e.kdx_d.kdx_st with
+    | Kdx_succeeded -> e.kdx_des
+    | Kdx_undecided | Kdx_failed -> e.kdx_exp
 
-let rec cas r expected desired =
-  match Atomic.get r.kdx_cell with
-  | Kdx_v v as cur ->
-      if v != expected then false
-      else if Atomic.compare_and_set r.kdx_cell cur (Kdx_v desired) then true
-      else cas r expected desired
-  | Kdx_k (d, _, _) ->
-      ignore (kdx_help d);
-      cas r expected desired
-  | Kdx_r rd ->
-      kdx_complete rd;
-      cas r expected desired
+let get (c : 'a r) : 'a =
+  let v = Atomic.get (kdx_atomic c) in
+  if kdx_is_desc v then Obj.obj (kdx_read c v) else Obj.obj v
 
-let rec fetch_and_add r n =
-  match Atomic.get r.kdx_cell with
-  | Kdx_v v as cur ->
-      if Atomic.compare_and_set r.kdx_cell cur (Kdx_v (v + n)) then v else fetch_and_add r n
-  | Kdx_k (d, _, _) ->
-      ignore (kdx_help d);
-      fetch_and_add r n
-  | Kdx_r rd ->
-      kdx_complete rd;
-      fetch_and_add r n
+let rec set (c : 'a r) (v : 'a) =
+  let cell = kdx_atomic c in
+  let cur = Atomic.get cell in
+  if kdx_is_desc cur then begin
+    kdx_resolve cur;
+    set c v
+  end
+  else if not (Atomic.compare_and_set cell cur (Obj.repr v)) then set c v
 
-type kcas_op = kdx_entry
+let rec cas (c : 'a r) (expected : 'a) (desired : 'a) =
+  let cell = kdx_atomic c in
+  let cur = Atomic.get cell in
+  if kdx_is_desc cur then begin
+    kdx_resolve cur;
+    cas c expected desired
+  end
+  else if cur != Obj.repr expected then false
+  else Atomic.compare_and_set cell cur (Obj.repr desired) || cas c expected desired
 
-let kcas_op (type a) (r : a r) ~(expected : a) ~(desired : a) : kcas_op =
-  Kdx_e { kdx_c = r; kdx_exp = expected; kdx_des = desired }
+let rec fetch_and_add (c : int r) n =
+  let cell = kdx_atomic c in
+  let cur = Atomic.get cell in
+  if kdx_is_desc cur then begin
+    kdx_resolve cur;
+    fetch_and_add c n
+  end
+  else
+    let v : int = Obj.obj cur in
+    if Atomic.compare_and_set cell cur (Obj.repr (v + n)) then v else fetch_and_add c n
+
+(* Field 0 is the cell, never [kdx_mark]: an op stored in a cell is a
+   plain value. *)
+type kcas_op = { kdx_oc : kdx_cell; kdx_oexp : Obj.t; kdx_odes : Obj.t }
+
+let kcas_op (r : 'a r) ~(expected : 'a) ~(desired : 'a) : kcas_op =
+  { kdx_oc = r; kdx_oexp = Obj.repr expected; kdx_odes = Obj.repr desired }
 
 let kcas = function
   | [] -> true
-  | [ Kdx_e e ] -> cas e.kdx_c e.kdx_exp e.kdx_des
+  | [ o ] -> cas o.kdx_oc o.kdx_oexp o.kdx_odes
   | ops ->
-      let entries = Array.of_list ops in
-      let id_of entry = match entry with Kdx_e e -> e.kdx_c.kdx_id in
-      Array.sort (fun a b -> compare (id_of a) (id_of b)) entries;
-      for i = 1 to Array.length entries - 1 do
-        if id_of entries.(i - 1) = id_of entries.(i) then
-          invalid_arg "Memory.kcas: duplicate cell"
+      let ops = Array.of_list ops in
+      Array.sort (fun a b -> compare a.kdx_oc.kdx_id b.kdx_oc.kdx_id) ops;
+      for i = 1 to Array.length ops - 1 do
+        if ops.(i - 1).kdx_oc == ops.(i).kdx_oc then invalid_arg "Memory.kcas: duplicate cell"
       done;
-      let d = { kdx_st = Atomic.make Kdx_undecided; kdx_entries = entries } in
+      let d = { kdx_st = Atomic.make Kdx_undecided; kdx_entries = [||] } in
+      d.kdx_entries <-
+        Array.map
+          (fun o ->
+            { kdx_emark = kdx_mark; kdx_d = d; kdx_c = o.kdx_oc; kdx_exp = o.kdx_oexp; kdx_des = o.kdx_odes })
+          ops;
       kdx_help d = Kdx_succeeded
 
 let touch () = ()

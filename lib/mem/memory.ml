@@ -3,9 +3,11 @@
 
     Algorithms are functors over {!S} so the same code runs in two modes:
 
-    - {!Mem_native}: ['a r] is ['a Atomic.t]; programs execute on real
-      OCaml 5 domains.  Used for unit tests, domain-based stress tests,
-      examples, and the Bechamel micro-benchmarks.
+    - {!Mem_native}: ['a r] is one block whose first field, read and
+      CASed atomically, holds the value itself (or a k-CAS descriptor,
+      told apart by a private mark); programs execute on real OCaml 5
+      domains.  Used for unit tests, domain-based stress tests,
+      examples, and the perf ledger's native workload.
     - {!Sim.Mem}: every access is an OCaml effect handled by a
       discrete-event multicore simulator with a cache-coherence cost model.
       Used to reproduce the paper's cross-platform scalability results and

@@ -54,43 +54,62 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
     mutable gc_passes : int;
   }
 
+  (* Per-thread vectors are [Mem.max_threads ()] long (512 natively) and
+     live in blocks of [block]: OCaml puts an array over 256 words
+     straight in the major heap, and one built from a young first element
+     forces a minor collection, so one such array per create made every
+     create pay one. *)
+  let block = 64
+  let block_shift = 6 (* log2 block *)
+
+  (* [n] entries: [mk len] builds each block of [len]. *)
+  let blocks n mk = Array.init ((n + block - 1) / block) (fun b -> mk (min block (n - (b * block))))
+
+  let ( .%() ) v i = v.(i lsr block_shift).(i land (block - 1))
+  let ( .%()<- ) v i x = v.(i lsr block_shift).(i land (block - 1)) <- x
+
   type t = {
     gc_threshold : int;
-    ts : int Mem.r array; (* per-thread activity timestamps *)
-    states : thread_state option array; (* lazily created, owner-only *)
+    n : int; (* [Mem.max_threads ()] *)
+    ts : int Mem.r array array; (* per-thread activity timestamps *)
+    states : thread_state option array array; (* lazily created, owner-only *)
     reclaimer : (garbage -> unit) option;
-    detached : bool array;
-        (* administrative (not simulated memory): [detached.(i)] declares
-           thread [i] dead — its frozen timestamp no longer pins batches *)
+    detached : Bytes.t;
+        (* administrative (not simulated memory): a non-zero byte [i]
+           declares thread [i] dead — its frozen timestamp no longer pins
+           batches *)
   }
 
   let create ?reclaimer () =
     let n = Mem.max_threads () in
     {
       gc_threshold = !gc_threshold;
-      ts = Array.init n (fun _ -> Mem.make_fresh 0);
-      states = Array.make n None;
+      n;
+      ts = blocks n (fun len -> Array.init len (fun _ -> Mem.make_fresh 0));
+      states = blocks n (fun len -> Array.make len None);
       reclaimer;
-      detached = Array.make n false;
+      detached = Bytes.make n '\000';
     }
+
+  let iter_states f t = Array.iter (Array.iter (Option.iter f)) t.states
 
   let state t =
     let me = Mem.self () in
-    match t.states.(me) with
+    match t.states.%(me) with
     | Some s -> s
     | None ->
         let s =
           { current = []; current_size = 0; parked = []; freed = 0; reclaimed = 0; gc_passes = 0 }
         in
-        t.states.(me) <- Some s;
+        t.states.%(me) <- Some s;
         s
 
-  let snapshot t = Array.map Mem.get t.ts
+  let snapshot t = Array.init t.n (fun i -> Mem.get t.ts.%(i))
 
   (* Does thread [i]'s timestamp still pin a batch stamped [s] with it?
      The live timestamp is read before the short-circuit tests, so every
      call makes the same simulated access. *)
-  let pins t i s = not (Mem.get t.ts.(i) > s || s = 0 || t.detached.(i))
+  let pins t i s = not (Mem.get t.ts.%(i) > s || s = 0 || Bytes.get t.detached i <> '\000')
 
   (* A parked batch is safe once every thread's timestamp moved past the
      one recorded when the batch was parked (threads that never registered
@@ -121,10 +140,11 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       into any structure using this allocator.  Call between operations. *)
   let quiesce t =
     let me = Mem.self () in
-    Mem.set t.ts.(me) (Mem.get t.ts.(me) + 1);
+    let c = t.ts.%(me) in
+    Mem.set c (Mem.get c + 1);
     (* opportunistically retire parked batches, as the C allocator does on
        its allocation path *)
-    match t.states.(me) with
+    match t.states.%(me) with
     | Some s when s.parked <> [] -> collect t s
     | _ -> ()
 
@@ -157,27 +177,25 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       this is the bounded-garbage-growth report: a crashed thread shows
       up here with a monotonically growing [items] count. *)
   let stuck_epochs t =
-    let n = Array.length t.ts in
+    let n = t.n in
     let batches = Array.make n 0 and items = Array.make n 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some (s : thread_state) ->
-            List.iter
-              (fun b ->
-                Array.iteri
-                  (fun i st ->
-                    if pins t i st then begin
-                      batches.(i) <- batches.(i) + 1;
-                      items.(i) <- items.(i) + b.size
-                    end)
-                  b.stamp)
-              s.parked)
-      t.states;
+    iter_states
+      (fun s ->
+        List.iter
+          (fun b ->
+            Array.iteri
+              (fun i st ->
+                if pins t i st then begin
+                  batches.(i) <- batches.(i) + 1;
+                  items.(i) <- items.(i) + b.size
+                end)
+              b.stamp)
+          s.parked)
+      t;
     let out = ref [] in
     for i = n - 1 downto 0 do
       if batches.(i) > 0 then
-        out := { tid = i; since = Mem.get t.ts.(i); batches = batches.(i); items = items.(i) } :: !out
+        out := { tid = i; since = Mem.get t.ts.%(i); batches = batches.(i); items = items.(i) } :: !out
     done;
     !out
 
@@ -186,25 +204,23 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       thread can no longer run (crash-stopped, joined, ...); detaching a
       thread that still holds references would allow unsafe reuse,
       exactly as in the C allocator's [ssmem_term]. *)
-  let detach t tid = t.detached.(tid) <- true
+  let detach t tid = Bytes.set t.detached tid '\001'
 
   (** Run a collection pass over every thread's parked batches (not just
       the caller's), e.g. after {!detach} has unpinned them. *)
   let collect_all t =
-    Array.iter (function None -> () | Some s -> if s.parked <> [] then collect t s) t.states
+    iter_states (fun s -> if s.parked <> [] then collect t s) t
 
   type stats = { freed : int; reclaimed : int; pending : int; gc_passes : int }
 
   (** Aggregate statistics across all threads. *)
   let stats t =
     let freed = ref 0 and reclaimed = ref 0 and passes = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some (s : thread_state) ->
-            freed := !freed + s.freed;
-            reclaimed := !reclaimed + s.reclaimed;
-            passes := !passes + s.gc_passes)
-      t.states;
+    iter_states
+      (fun (s : thread_state) ->
+        freed := !freed + s.freed;
+        reclaimed := !reclaimed + s.reclaimed;
+        passes := !passes + s.gc_passes)
+      t;
     { freed = !freed; reclaimed = !reclaimed; pending = !freed - !reclaimed; gc_passes = !passes }
 end

@@ -153,8 +153,35 @@ let test_rcu_synchronize_no_readers () =
       ignore (Sim.run sim [| body |]);
       Alcotest.(check pass) "synchronize with no readers returns" () ())
 
+(* Native create must not force a minor collection.  [Mem_native]
+   sizes the timestamp vector for 512 threads; OCaml allocates an array
+   over 256 words directly in the major heap, and when its initial
+   element is young the runtime first empties the minor heap (promoting
+   every cell built so far).  One SSMEM per bucket list made a native
+   list-bucket table's create pay hundreds of them.  So after emptying
+   the minor heap, creates that fit in half of it must run none. *)
+let test_native_create_no_minor_gc () =
+  let module S = Ascy_ssmem.Ssmem.Make (Ascy_mem.Mem_native) in
+  let create () = ignore (Sys.opaque_identity (S.create ())) in
+  let w0 = Gc.minor_words () in
+  create ();
+  let per_create = Gc.minor_words () -. w0 in
+  let creates = int_of_float (float_of_int ((Gc.get ()).Gc.minor_heap_size / 2) /. per_create) in
+  Alcotest.(check bool) "at least one create fits" true (creates >= 1);
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to creates do
+    create ()
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "minor collections over %d creates" creates)
+    0
+    ((Gc.quick_stat ()).Gc.minor_collections - before)
+
 let suite =
   [
+    Alcotest.test_case "native create forces no minor collection" `Quick
+      test_native_create_no_minor_gc;
     Alcotest.test_case "idle threads don't block reclamation" `Quick
       test_no_reclaim_before_quiescence;
     Alcotest.test_case "active reader blocks reclamation" `Quick test_blocked_by_active_reader;
