@@ -15,10 +15,13 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
 
   let create () = { cur = first_delay }
 
-  (** Spin for the current delay and double it (up to the bound). *)
+  (** Spin for the current delay and double it; once the delay is at
+      its bound, also give the processor away ({!Ascy_mem.Memory.S.yield_cpu}:
+      natively a short sleep, nothing in the simulator, so simulated
+      runs spin exactly as before). *)
   let once t =
     for _ = 1 to t.cur do
       Mem.cpu_relax ()
     done;
-    if t.cur < max_delay then t.cur <- t.cur * 2
+    if t.cur < max_delay then t.cur <- t.cur * 2 else Mem.yield_cpu ()
 end

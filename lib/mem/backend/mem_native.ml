@@ -255,6 +255,11 @@ let kcas = function
 let touch () = ()
 let work (_ : int) = ()
 let cpu_relax = Domain.cpu_relax
+
+(* The standard library has no [sched_yield]; a short sleep leaves the
+   core to the descheduled thread the spinner waits for. *)
+let yield_cpu () = Unix.sleepf 1e-6
+
 let self () = Domain.DLS.get key
 let max_threads () = max_threads_limit
 let emit (_ : int) = ()

@@ -2,9 +2,10 @@
     effect handlers, with a pluggable cache-coherence cost model.
 
     Simulated threads are ordinary OCaml closures written against
-    {!Memory.S}; each shared-memory access is a yield point, where the
-    thread suspends through an effect unless a controlled run keeps it
-    running (see {!run}).  The free-running scheduler always resumes the
+    {!Memory.S}; each shared-memory access is a yield point, which takes
+    the next scheduling decision in place and suspends the thread
+    through an effect only when another thread is chosen or a fault is
+    due (see {!run}).  The free-running scheduler always resumes the
     thread with the smallest local clock and charges the access a
     latency taken from the installed coherence model ({!Cohmodel.S}):
 
@@ -198,7 +199,6 @@ type t = {
   mutable decisions : int; (* executed steps in the current run *)
   mutable runnable : runnable; (* the current run's decision record *)
   mutable choose : scheduler; (* the current run's chooser *)
-  mutable inline : bool; (* controlled and fault-free: yield points decide *)
   mutable next : int; (* choice a yield point made for the loop, or -1 *)
   mutable pending_faults : fault_event list; (* sorted by fe_at *)
   mutable crashed_tids : int list; (* newest first *)
@@ -254,7 +254,6 @@ let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_mo
     decisions = 0;
     runnable = { Simtypes.rn = 0; r_tids = [||]; r_acts = [||] };
     choose = (fun _ -> -1);
-    inline = false;
     next = -1;
     pending_faults = [];
     crashed_tids = [];
@@ -348,14 +347,9 @@ let access_cost ?(notify = true) sim th kind line =
 (* ------------------------------------------------------------------ *)
 
 type _ Effect.t +=
-  | Access : access_kind * int -> unit Effect.t
-  | Work_eff : int -> unit Effect.t
-  | Kcas_eff : int array -> unit Effect.t
-        (** multi-word CAS commit point; the array holds the touched
-            lines, sorted and distinct *)
   | Switch : unit Effect.t
-        (** a yield point chose another thread: suspend, the choice is
-            in [sim.next] *)
+        (** suspend at a yield point: another thread was chosen (the
+            choice is in [sim.next]) or a fault is due (undecided) *)
   | Abort : exn * Printexc.raw_backtrace -> unit Effect.t
         (** a decision or commit taken at a yield point raised *)
 
@@ -396,34 +390,46 @@ let decide sim =
     tid
   end
 
-(* A yield point of a controlled, fault-free run ([sim.inline]): record
-   the running thread's next step [act] and take the decision here, as
-   the loop would (no thread running, the same runnable set).  A re-pick
-   of the running thread is committed on the spot and the thread runs on
+(* A fault is due at the current decision.  The fault being applied
+   stays at the head of the plan until it has been applied. *)
+let fault_due sim =
+  match sim.pending_faults with fe :: _ -> fe.fe_at <= sim.decisions | [] -> false
+
+(* The yield point of every step (a {!Mem} access, [work]/[cpu_relax], a
+   k-CAS commit, a transaction's commit work): record the running
+   thread's next step [act] and take the decision here, as the loop
+   would (no thread running, the same runnable set).  A re-pick of the
+   running thread is committed on the spot and the thread runs on
    without an effect; another choice suspends it and hands the choice to
-   the loop, so the chooser is still called once per decision.  An
-   exception from the decision or the commit leaves through [Abort],
-   never through the thread's own code. *)
-let yield_inline sim act =
+   the loop, so the chooser is still called once per decision.  While a
+   fault is due the thread suspends undecided, so that the loop applies
+   the fault before it decides; this also parks a crashed thread's
+   clean-up code at its first yield point.  An exception from the
+   decision or the commit leaves through [Abort], never through the
+   thread's own code. *)
+let yield_point sim act =
   let tid = sim.cur in
   sim.runnable.r_acts.(tid) <- act;
-  sim.cur <- -1;
-  match
-    let next = decide sim in
-    sim.cur <- tid;
-    if next = tid then begin
-      sim.decisions <- sim.decisions + 1;
-      commit sim sim.threads.(tid) act;
-      true
-    end
-    else begin
-      sim.next <- next;
-      false
-    end
-  with
-  | true -> ()
-  | false -> Effect.perform Switch
-  | exception e -> Effect.perform (Abort (e, Printexc.get_raw_backtrace ()))
+  if sim.any_fault && fault_due sim then Effect.perform Switch
+  else begin
+    sim.cur <- -1;
+    match
+      let next = decide sim in
+      sim.cur <- tid;
+      if next = tid then begin
+        sim.decisions <- sim.decisions + 1;
+        commit sim sim.threads.(tid) act;
+        true
+      end
+      else begin
+        sim.next <- next;
+        false
+      end
+    with
+    | true -> ()
+    | false -> Effect.perform Switch
+    | exception e -> Effect.perform (Abort (e, Printexc.get_raw_backtrace ()))
+  end
 
 exception Txn_abort
 
@@ -480,20 +486,14 @@ module Mem : Memory.S with type line = int = struct
   type 'a r = { line : int; mutable v : 'a }
 
   (* Route an access: inside a transaction it is buffered/accounted by
-     txn_access; otherwise it is a yield point, decided in place on a
-     controlled run and an effect handled by the loop otherwise. *)
+     txn_access; otherwise it is a yield point. *)
   let access kind line =
     match !(current ()) with
     | Some sim when sim.cur >= 0 -> (
         match sim.txn with
         | Some tx -> txn_access sim tx kind line
-        | None ->
-            if sim.inline then yield_inline sim (A_access (kind, line))
-            else Effect.perform (Access (kind, line)))
+        | None -> yield_point sim (A_access (kind, line)))
     | _ -> ()
-
-  let yield_work sim n =
-    if sim.inline then yield_inline sim (A_work n) else Effect.perform (Work_eff n)
 
   let in_txn () = match !(current ()) with Some sim -> sim.txn | None -> None
 
@@ -597,8 +597,7 @@ module Mem : Memory.S with type line = int = struct
                 Array.iter (fun line -> txn_access sim tx Rmw line) lines;
                 kdx_apply ops
             | None ->
-                if sim.inline then yield_inline sim (A_kcas lines)
-                else Effect.perform (Kcas_eff lines);
+                yield_point sim (A_kcas lines);
                 let ok = kdx_apply ops in
                 (match sim.observer with
                 | Some o ->
@@ -618,10 +617,11 @@ module Mem : Memory.S with type line = int = struct
     | Some sim when sim.cur >= 0 -> (
         match sim.txn with
         | Some tx -> tx.t_cost <- tx.t_cost + n
-        | None -> yield_work sim n)
+        | None -> yield_point sim (A_work n))
     | _ -> ()
 
   let cpu_relax () = work 6
+  let yield_cpu () = ()
 
   let self () =
     let sim = the_sim () in
@@ -652,13 +652,13 @@ module Mem : Memory.S with type line = int = struct
             List.iter
               (fun line -> C.txn_commit cm ~core:th.core ~socket:th.socket line)
               tx.t_written;
-            yield_work sim (tx.t_cost + sim.plat.P.c_atomic);
+            yield_point sim (A_work (tx.t_cost + sim.plat.P.c_atomic));
             Some v
         | exception Txn_abort ->
             sim.txn <- None;
             List.iter (fun undo -> undo ()) tx.t_undo;
             sim.counters.(sim.cur).rmw <- sim.counters.(sim.cur).rmw + 1;
-            yield_work sim (tx.t_cost + (2 * sim.plat.P.c_atomic));
+            yield_point sim (A_work (tx.t_cost + (2 * sim.plat.P.c_atomic)));
             None)
     | _ -> None
 end
@@ -690,22 +690,19 @@ exception Thread_failure of int * exn * string
     per-decision hot path allocates nothing — so schedulers must copy
     anything they retain past the callback.
 
-    Where a decision is taken depends on the run's inputs.  A thread's
-    first step and the step after a thread finishes are decided in the
-    run's loop.  Every other decision falls at a yield point of the
-    running thread (a {!Mem} access, [work]/[cpu_relax], a k-CAS
-    commit, a transaction's commit work).  With a [scheduler] and no
-    [faults], the yield point takes it in place: if the chooser re-picks
-    the running thread, the step is charged there and the thread runs
-    on without suspending; otherwise the thread suspends and the loop
-    resumes the thread already chosen.  The free-running clock, which
-    almost never re-picks, and any fault plan, whose crashes must
-    discontinue parked continuations, make every yield point suspend
-    (one effect per step) and the loop decide.  The decision sequence
-    is the same either way, with one chooser call per decision; an
-    exception raised by the chooser or by the step's commit leaves
-    [run] as itself, and only an exception of the thread's own code is
-    wrapped in {!Thread_failure}.
+    A thread's first step and the step after a thread finishes are
+    decided in the run's loop.  Every other decision falls at a yield
+    point of the running thread (a {!Mem} access, [work]/[cpu_relax], a
+    k-CAS commit, a transaction's commit work) and is taken there: if
+    the chooser re-picks the running thread, the step is charged in
+    place and the thread runs on without suspending; otherwise the
+    thread suspends and the loop resumes the thread already chosen.
+    While a fault is due the thread suspends undecided and the loop
+    applies the fault, then decides.  The decision sequence is the one
+    a loop deciding every step would take, with one chooser call per
+    decision; an exception raised by the chooser or by the step's
+    commit leaves [run] as itself, and only an exception of the
+    thread's own code is wrapped in {!Thread_failure}.
 
     [faults] injects {!fault_event}s keyed by decision index (see
     {!decisions}).  Due faults are applied as a pre-step before each
@@ -749,7 +746,6 @@ let run ?scheduler ?(faults = []) sim bodies =
      only ints. *)
   sim.runnable <-
     { Simtypes.rn = 0; r_tids = Array.make sim.nthreads 0; r_acts = Array.make sim.nthreads A_start };
-  let runnable = sim.runnable in
   let handler : (unit, step) Effect.Deep.handler =
     {
       retc = (fun () -> Finished);
@@ -757,29 +753,8 @@ let run ?scheduler ?(faults = []) sim bodies =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Access (kind, line) ->
-              Some
-                (fun (k : (a, step) Effect.Deep.continuation) ->
-                  let th = sim.threads.(sim.cur) in
-                  runnable.r_acts.(th.tid) <- A_access (kind, line);
-                  th.cont <- Some k;
-                  Blocked)
-          | Work_eff n ->
-              Some
-                (fun (k : (a, step) Effect.Deep.continuation) ->
-                  let th = sim.threads.(sim.cur) in
-                  runnable.r_acts.(th.tid) <- A_work n;
-                  th.cont <- Some k;
-                  Blocked)
-          | Kcas_eff lines ->
-              Some
-                (fun (k : (a, step) Effect.Deep.continuation) ->
-                  let th = sim.threads.(sim.cur) in
-                  runnable.r_acts.(th.tid) <- A_kcas lines;
-                  th.cont <- Some k;
-                  Blocked)
           | Switch ->
-              (* the yield point already recorded the step and chose *)
+              (* the yield point already recorded the step *)
               Some
                 (fun (k : (a, step) Effect.Deep.continuation) ->
                   sim.threads.(sim.cur).cont <- Some k;
@@ -804,7 +779,7 @@ let run ?scheduler ?(faults = []) sim bodies =
           (try Effect.Deep.match_with body () handler
            with e -> raise (Thread_failure (tid, e, Printexc.get_backtrace ())))
       | None -> (
-          commit sim th runnable.r_acts.(tid);
+          commit sim th sim.runnable.r_acts.(tid);
           match th.cont with
           | Some k ->
               th.cont <- None;
@@ -852,30 +827,28 @@ let run ?scheduler ?(faults = []) sim bodies =
           sim.cur <- -1
     end
   in
-  let apply_due_faults () =
-    let rec go () =
-      match sim.pending_faults with
-      | fe :: rest when fe.fe_at <= sim.decisions ->
-          sim.pending_faults <- rest;
-          (match fe.fe_fault with
-          | F_crash -> kill fe.fe_tid
-          | F_stall n ->
-              let th = sim.threads.(fe.fe_tid) in
-              if not (th.finished || th.crashed) then
-                th.stalled_until <- sim.decisions + max 0 n
-          | F_numa_slow { factor; window } ->
-              sim.slow_factor.(fe.fe_tid) <- factor;
-              sim.slow_until.(fe.fe_tid) <- sim.decisions + max 0 window
-          | F_msg m ->
-              (* queue the token; the target thread's next polled message
-                 boundary consumes it.  Appended, so a plan that stacks
-                 several tokens on one thread delivers them in fe_at
-                 order. *)
-              sim.pending_msgs.(fe.fe_tid) <- sim.pending_msgs.(fe.fe_tid) @ [ m ]);
-          go ()
-      | _ -> ()
-    in
-    go ()
+  (* Each fault leaves the plan after it is applied: a killed thread's
+     clean-up code still finds it due (see [yield_point]). *)
+  let rec apply_due_faults () =
+    match sim.pending_faults with
+    | fe :: rest when fe.fe_at <= sim.decisions ->
+        (match fe.fe_fault with
+        | F_crash -> kill fe.fe_tid
+        | F_stall n ->
+            let th = sim.threads.(fe.fe_tid) in
+            if not (th.finished || th.crashed) then th.stalled_until <- sim.decisions + max 0 n
+        | F_numa_slow { factor; window } ->
+            sim.slow_factor.(fe.fe_tid) <- factor;
+            sim.slow_until.(fe.fe_tid) <- sim.decisions + max 0 window
+        | F_msg m ->
+            (* queue the token; the target thread's next polled message
+               boundary consumes it.  Appended, so a plan that stacks
+               several tokens on one thread delivers them in fe_at
+               order. *)
+            sim.pending_msgs.(fe.fe_tid) <- sim.pending_msgs.(fe.fe_tid) @ [ m ]);
+        sim.pending_faults <- rest;
+        apply_due_faults ()
+    | _ -> ()
   in
   (* The free-running chooser: the smallest [(clock, tid)].  Runnable
      tids are ascending, so a strict [<] keeps the lowest tid on ties. *)
@@ -893,38 +866,31 @@ let run ?scheduler ?(faults = []) sim bodies =
     !best
   in
   sim.choose <- (match scheduler with Some choose -> choose | None -> by_clock);
-  (* a controlled, fault-free run decides at its yield points; a crash
-     must discontinue a parked continuation, and the clock chooser almost
-     never re-picks, so those runs suspend at every step *)
-  sim.inline <- scheduler <> None && faults = [];
   sim.next <- -1;
-  let loop () =
-    while sim.live > 0 do
-      if sim.any_fault then apply_due_faults ();
-      if sim.live > 0 then begin
-        let tid =
-          if sim.next >= 0 then begin
-            let tid = sim.next in
-            sim.next <- -1;
-            tid
-          end
-          else decide sim
-        in
-        if tid >= 0 then exec_step tid
-        else begin
-          (* every live thread is stalled: jump to the earliest expiry *)
-          let wake = ref max_int in
-          for tid = 0 to sim.nthreads - 1 do
-            let th = sim.threads.(tid) in
-            if (not th.finished) && (not th.crashed) && th.stalled_until < !wake then
-              wake := th.stalled_until
-          done;
-          sim.decisions <- max sim.decisions !wake
+  while sim.live > 0 do
+    if sim.any_fault then apply_due_faults ();
+    if sim.live > 0 then begin
+      let tid =
+        if sim.next >= 0 then begin
+          let tid = sim.next in
+          sim.next <- -1;
+          tid
         end
+        else decide sim
+      in
+      if tid >= 0 then exec_step tid
+      else begin
+        (* every live thread is stalled: jump to the earliest expiry *)
+        let wake = ref max_int in
+        for tid = 0 to sim.nthreads - 1 do
+          let th = sim.threads.(tid) in
+          if (not th.finished) && (not th.crashed) && th.stalled_until < !wake then
+            wake := th.stalled_until
+        done;
+        sim.decisions <- max sim.decisions !wake
       end
-    done
-  in
-  Fun.protect ~finally:(fun () -> sim.inline <- false) loop;
+    end
+  done;
   sim.cur <- -1;
   !makespan
 

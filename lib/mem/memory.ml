@@ -77,6 +77,13 @@ module type S = sig
   val cpu_relax : unit -> unit
   (** Spin-wait hint. *)
 
+  val yield_cpu : unit -> unit
+  (** Give the processor away, for a spin-wait that has already spun
+      long: natively a short OS-level sleep, so that a descheduled lock
+      holder (or the next ticket holder) can run when there are more
+      spinning domains than cores; nothing in the simulator, which
+      schedules its own threads and charges no time for it. *)
+
   val self : unit -> int
   (** Dense id of the calling thread (domain or simulated thread). *)
 

@@ -15,13 +15,9 @@
     records: slot [d] holds the chosen tid, the length of the previous
     thread's run before the decision, the preemptions and delays
     spent through it, its DPOR mark and action, and its todo, explored
-    and sleep sets; one arena holds every slot's runnable tids.  The
-    arrays belong to the domain, not to the call (the way {!Sim} keeps
-    its installed simulation in [Domain.DLS]): an exploration takes
-    them out of their slot, reuses them across runs and puts them back
-    when it returns, so exploring allocates no path storage once they
-    are large enough.  A nested or concurrent call on the same domain
-    finds the slot empty and makes its own.
+    and sleep sets; one arena holds every slot's runnable tids.  Each
+    call to {!explore} makes one path and reuses it across its runs, so
+    a run allocates no path storage once the arrays are large enough.
 
     The default choice is free.  A decision below the prefix that a
     run reaches for the first time takes the default policy's choice,
@@ -128,7 +124,6 @@ type path = {
   (* scratch for one snapshot in record form, for the {!Scheduler} cost
      functions (which read no actions) *)
   mutable view : Sim.runnable;
-  mutable index : Dpor.index option;  (* DPOR's conflict index, reused *)
 }
 
 let new_path () =
@@ -147,7 +142,6 @@ let new_path () =
     snap_n = [||];
     snap_tid = [||];
     view = { Sim.rn = 0; r_tids = [||]; r_acts = [||] };
-    index = None;
   }
 
 let grow p =
@@ -177,36 +171,6 @@ let set_stride p threads =
     p.view <- { Sim.rn = 0; r_tids = Array.make threads 0; r_acts = Array.make threads Sim.A_start }
   end
 
-(* DPOR's conflict index for [p.stride] threads, empty: the previous
-   exploration's, rewound to its start, when the thread count matches. *)
-let fresh_index p =
-  match p.index with
-  | Some ix when ix.Dpor.threads = p.stride ->
-      Dpor.undo_to ix 0;
-      ix
-  | _ ->
-      let ix = Dpor.create_index ~threads:p.stride in
-      p.index <- Some ix;
-      ix
-
-(* Each domain keeps one path for its explorations, the way [Sim] keeps
-   its installed simulation.  A call takes it out of the slot while it
-   runs, so a nested or concurrent call on the same domain makes its
-   own. *)
-let path_slot : path option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let with_path f =
-  let slot = Domain.DLS.get path_slot in
-  let p =
-    match !slot with
-    | Some p ->
-        slot := None;
-        p
-    | None -> new_path ()
-  in
-  p.len <- 0;
-  Fun.protect ~finally:(fun () -> slot := Some p) (fun () -> f p)
-
 (** [explore ?mode ?bounds ~run ()] — [run ~sched] must execute the
     program under test from scratch inside a fresh simulation driven by
     [sched], then evaluate its oracle: [None] for a passing run, [Some
@@ -227,7 +191,7 @@ let with_path f =
       cancel siblings once any task has found a failure). *)
 let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?on_defer
     ?stop ~run () =
-  with_path @@ fun p ->
+  let p = new_path () in
   let plen = Array.length prefix in
   let wlimit = match window with Some w -> plen + w | None -> max_int in
   (* Hand [chosen.(0..j-1); t] to the coordinator as a new task's
@@ -419,7 +383,7 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
             match !index with
             | Some ix -> ix
             | None ->
-                let ix = fresh_index p in
+                let ix = Dpor.create_index ~threads:p.stride in
                 index := Some ix;
                 ix
           in

@@ -213,9 +213,34 @@ let no_rof_maker (module A : Set_intf.MAKER) : (module Set_intf.MAKER) =
     let create ?hint ?read_only_fail:_ () = create ?hint ~read_only_fail:false ()
   end)
 
+(* Wall-clock bound of a native domain test. *)
+let native_deadline_s = 30.0
+
+(* Run [body tid] on [n] fresh domains and join them, or fail naming
+   [what] if any is still running after [native_deadline_s]: a native
+   run that livelocks fails its own test instead of hanging the suite.
+   The stuck domains are left spinning; the process exits without
+   joining them. *)
+let run_domains ~what n body =
+  let finished = Atomic.make 0 in
+  let domains =
+    Array.init n (fun tid ->
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Atomic.incr finished) (fun () -> body tid)))
+  in
+  let deadline = Unix.gettimeofday () +. native_deadline_s in
+  while Atomic.get finished < n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let running = n - Atomic.get finished in
+  if running > 0 then
+    Alcotest.failf "%s: %d of %d domains still running after %.0f s" what running n
+      native_deadline_s;
+  Array.map Domain.join domains
+
 (* Native stress with real domains (preemptive interleavings even on one
    core). *)
-let native_stress (module Maker : Set_intf.MAKER) ~nthreads ~key_range ~ops ~updates () =
+let native_stress (module Maker : Set_intf.MAKER) ~name ~nthreads ~key_range ~ops ~updates () =
   let module M = Maker (Ascy_mem.Mem_native) in
   let t = M.create ~hint:key_range () in
   for k = 0 to key_range - 1 do
@@ -237,8 +262,7 @@ let native_stress (module Maker : Set_intf.MAKER) ~nthreads ~key_range ~ops ~upd
       M.op_done t
     done
   in
-  let domains = Array.init nthreads (fun tid -> Domain.spawn (body tid)) in
-  Array.iter Domain.join domains;
+  ignore (run_domains ~what:(name ^ ": native domain stress") nthreads (fun tid -> body tid ()));
   for k = 0 to key_range - 1 do
     let initial = if k land 1 = 0 then 1 else 0 in
     let total = Array.fold_left (fun acc row -> acc + row.(k)) initial net in
@@ -297,7 +321,7 @@ let suite ?(concurrent = true) name (module Maker : Set_intf.MAKER) =
             (sim_stress (no_rof_maker (module Maker)) ~seed:11 ~nthreads:6 ~key_range:16 ~ops:250
                ~updates:50);
           Alcotest.test_case (name ^ ": native domain stress") `Slow
-            (native_stress (module Maker) ~nthreads:4 ~key_range:32 ~ops:2000 ~updates:40);
+            (native_stress (module Maker) ~name ~nthreads:4 ~key_range:32 ~ops:2000 ~updates:40);
         ]
   in
   seq @ conc

@@ -327,20 +327,17 @@ let test_sct_seqlock () =
 module Ttas_n = Ascy_locks.Ttas.Make (Ascy_mem.Mem_native)
 module Ticket_n = Ascy_locks.Ticket.Make (Ascy_mem.Mem_native)
 
-let native_exclusion acquire release mk () =
+let native_exclusion what acquire release mk () =
   let lock = mk () in
   let counter = ref 0 in
   let per = 20_000 in
-  let domains =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per do
-              acquire lock;
-              counter := !counter + 1;
-              release lock
-            done))
-  in
-  Array.iter Domain.join domains;
+  ignore
+    (Conformance.run_domains ~what 4 (fun _ ->
+         for _ = 1 to per do
+           acquire lock;
+           counter := !counter + 1;
+           release lock
+         done));
   Alcotest.(check int) "native exclusion" (4 * per) !counter
 
 let suite =
@@ -363,7 +360,8 @@ let suite =
     Alcotest.test_case "rwlock writer exclusion (SCT, exhaustive)" `Quick test_sct_rw_writers;
     Alcotest.test_case "seqlock snapshot consistency (SCT, exhaustive)" `Quick test_sct_seqlock;
     Alcotest.test_case "ttas exclusion (domains)" `Slow
-      (native_exclusion Ttas_n.acquire Ttas_n.release Ttas_n.create_fresh);
+      (native_exclusion "ttas exclusion (domains)" Ttas_n.acquire Ttas_n.release Ttas_n.create_fresh);
     Alcotest.test_case "ticket exclusion (domains)" `Slow
-      (native_exclusion Ticket_n.acquire Ticket_n.release Ticket_n.create_fresh);
+      (native_exclusion "ticket exclusion (domains)" Ticket_n.acquire Ticket_n.release
+         Ticket_n.create_fresh);
   ]

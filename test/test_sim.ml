@@ -164,13 +164,14 @@ let test_free_running_pinned () =
        ~faults:(List.init 4 (fun tid -> fault 20 tid (Sim.F_stall (500 + (200 * tid))))) ())
     ([ 1396; 1179; 254; 10; 0 ], [])
 
-(* Decisions of a controlled, fault-free run are taken at the yield
-   points: a re-pick of the running thread runs on without an effect,
-   another choice suspends it.  The four tests below pin what that must
-   not change: one chooser call per decision, the same choices and costs
-   as the effect-per-step path, exceptions of the chooser leaving
-   [Sim.run] as themselves, and the thread's own failures as
-   [Thread_failure] with its tid. *)
+(* Decisions are taken at the yield points: a re-pick of the running
+   thread runs on without an effect, another choice suspends it, and a
+   due fault suspends it undecided so the loop applies the fault first.
+   The tests below pin what that must not change: one chooser call per
+   decision, the same choices and costs as a loop that decides every
+   step, exceptions of the chooser leaving [Sim.run] as themselves, the
+   thread's own failures as [Thread_failure] with its tid, and crashes
+   landing at their decision even in a re-pick streak. *)
 
 (* Three threads, each four rounds of reads, a write, [work] and a
    2-word k-CAS over two shared cells. *)
@@ -212,10 +213,13 @@ let test_controlled_one_call_per_decision () =
   Alcotest.(check int) "one chooser call per decision" decisions calls;
   (* a start plus 6 yield points (3 reads, write, work, k-CAS) x 4 rounds *)
   Alcotest.(check int) "decisions" (3 * (1 + (6 * 4))) decisions;
-  (* a fault that never comes due selects the effect-per-step path *)
-  let never = [ { Sim.fe_at = max_int; fe_tid = 0; fe_fault = Sim.F_stall 0 } ] in
-  let calls', decisions', makespan', accesses', log' = run never in
-  Alcotest.(check (list int)) "same counts as the effect-per-step path"
+  (* a no-op fault due at every decision makes every yield point
+     suspend and the loop decide *)
+  let every =
+    List.init decisions (fun at -> { Sim.fe_at = at; fe_tid = 0; fe_fault = Sim.F_stall 0 })
+  in
+  let calls', decisions', makespan', accesses', log' = run every in
+  Alcotest.(check (list int)) "same counts as deciding in the loop"
     [ calls'; decisions'; makespan'; accesses' ]
     [ calls; decisions; makespan; accesses ];
   Alcotest.(check bool) "same runnable sets, lookaheads and choices" true (log = log')
@@ -303,6 +307,70 @@ let test_failure_after_repicks_attributed () =
         "Thread_failure (2, Failure(\"thread 2 gives up\"))" got;
       Alcotest.(check int) "after its start and 400 re-picks" 401 (Sim.decisions sim))
 
+(* Streaks of ten decisions per runnable position: thread 0 runs
+   decisions 1-9 and 30-39, re-picked at each yield point.  Raises at
+   call [give_up]. *)
+let streak_chooser ?(give_up = 0) calls choices r =
+  incr calls;
+  if !calls = give_up then raise (Chooser_gave_up give_up);
+  let tid = Sim.runnable_tid r (!calls / 10 mod Sim.runnable_count r) in
+  Buffer.add_char choices (Char.chr (Char.code '0' + tid));
+  tid
+
+(* Chooser calls, decisions, makespan, choices and crashed tids of
+   [bodies] under [streak_chooser] and [faults]. *)
+let streak_run ?give_up ~faults bodies =
+  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+      let calls = ref 0 and choices = Buffer.create 64 in
+      let makespan =
+        Sim.run ~scheduler:(streak_chooser ?give_up calls choices) ~faults sim (bodies ())
+      in
+      ( [ !calls; Sim.decisions sim; makespan ],
+        Buffer.contents choices,
+        Sim.crashed_tids sim ))
+
+let check_streak name (counts, choices, crashed) (counts', choices', crashed') =
+  Alcotest.(check (list int)) (name ^ ": calls/decisions/makespan") counts' counts;
+  Alcotest.(check string) (name ^ ": choices") choices' choices;
+  Alcotest.(check (list int)) (name ^ ": crashed tids") crashed' crashed
+
+let test_crash_in_repick_streak () =
+  let crash at tid = { Sim.fe_at = at; fe_tid = tid; fe_fault = Sim.F_crash } in
+  check_streak "thread 0 crashed at decision 35"
+    (streak_run ~faults:[ crash 35 0 ] mixed_bodies)
+    ([ 65; 65; 956 ], "00000000011111111112222222222000000222211111111112222222222111112", [ 0 ])
+
+let test_killed_cleanup_parks () =
+  let fault at tid f = { Sim.fe_at = at; fe_tid = tid; fe_fault = f } in
+  let cleaned = ref [] in
+  (* each body catches the kill and touches shared memory before it
+     records its clean-up: a crashed thread parks at its first yield
+     point, so none gets that far and no decision is taken there *)
+  let bodies () =
+    let cell = Mem.make_fresh 0 in
+    Array.mapi
+      (fun tid body () ->
+        try body () with
+        | Sim.Thread_killed ->
+            Mem.set cell (-1);
+            cleaned := tid :: !cleaned)
+      (mixed_bodies ())
+  in
+  check_streak "thread 1 crashed while thread 0 runs"
+    (streak_run ~faults:[ fault 33 1 Sim.F_crash ] bodies)
+    ([ 60; 60; 1326 ], "000000000111111111122222222220000222222000000000022222222200", [ 1 ]);
+  (* the decision after the kill is the loop's, so the chooser's
+     exception there leaves [Sim.run] *)
+  Alcotest.check_raises "chooser exception after the kill" (Chooser_gave_up 34) (fun () ->
+      ignore (streak_run ~give_up:34 ~faults:[ fault 33 1 Sim.F_crash ] bodies));
+  (* a second fault due at the same decision *)
+  check_streak "threads 2 and 1 crashed, thread 0 stalled"
+    (streak_run
+       ~faults:[ fault 33 2 Sim.F_crash; fault 33 1 Sim.F_crash; fault 33 0 (Sim.F_stall 4) ]
+       bodies)
+    ([ 45; 49; 1018 ], "000000000111111111122222222220000000000000000", [ 2; 1 ]);
+  Alcotest.(check (list int)) "no clean-up ran past its first access" [] !cleaned
+
 let suite =
   [
     Alcotest.test_case "simulated CAS counter is atomic" `Quick test_atomic_counter;
@@ -324,4 +392,8 @@ let suite =
       test_finished_choice_rejected;
     Alcotest.test_case "controlled: failure after re-picks keeps its tid" `Quick
       test_failure_after_repicks_attributed;
+    Alcotest.test_case "controlled: crash lands inside a re-pick streak" `Quick
+      test_crash_in_repick_streak;
+    Alcotest.test_case "controlled: a killed thread's clean-up parks" `Quick
+      test_killed_cleanup_parks;
   ]
