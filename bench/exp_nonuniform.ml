@@ -27,7 +27,8 @@ let run_custom name ~nthreads ~initial ~body_gen =
   let entry = Registry.by_name name in
   let module A = (val entry.Registry.maker) in
   let module M = A (Sim.Mem) in
-  Engine.with_session (Engine.default ~platform:P.xeon20 ~nthreads) (fun session ->
+  let cfg = { (Engine.default ~platform:P.xeon20 ~nthreads) with Engine.model = Bench_config.model } in
+  Engine.with_session cfg (fun session ->
       let sim = session.Engine.sim in
       let t = M.create ~hint:initial () in
       let rng0 = Ascy_util.Xorshift.create 17 in

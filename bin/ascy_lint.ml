@@ -54,10 +54,10 @@ let rule_a_whitelist =
     "lib/harness/native_run.ml";
     "lib/service/service_native.ml";
     (* the simulator's installed-simulation slot is domain-local
-       (Domain.DLS) so parallel exploration can drive one simulation per
-       domain; the parallel frontier itself spawns and coordinates those
-       domains.  Neither is CSDS code — both sit under the effect
-       layer, not on top of it. *)
+       (Domain.DLS) so parallel randomized exploration can drive one
+       simulation per domain; its chunk pool spawns those domains.
+       Neither is CSDS code — both sit under the effect layer, not on
+       top of it. *)
     "lib/mem/core/sim.ml";
     "lib/sct/par_explore.ml";
   ]

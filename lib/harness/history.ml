@@ -19,7 +19,7 @@
     complete — for set histories, and fast for the small per-key
     histories the conformance tests record. *)
 
-type op_kind = Search | Insert | Remove
+type op_kind = Workload.op = Search | Insert | Remove
 
 let kind_name = function Search -> "search" | Insert -> "insert" | Remove -> "remove"
 

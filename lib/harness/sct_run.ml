@@ -203,13 +203,7 @@ let run ?(faults = []) ?(races = false) ?(model = Sim.default_model) ?watchdog ?
                   r
             in
             let res = !clock in
-            let kind =
-              match op with
-              | Search -> History.Search
-              | Insert -> History.Insert
-              | Remove -> History.Remove
-            in
-            History.record h ~tid ~kind ~key:k ~result:ok ~inv ~res;
+            History.record h ~tid ~kind:op ~key:k ~result:ok ~inv ~res;
             M.op_done t;
             done_ops.(tid) <- done_ops.(tid) + 1;
             last_progress := !clock)
@@ -321,11 +315,11 @@ type finding = {
 
     [policy] picks the exploration policy ({!Ascy_sct.Explorer.policy}:
     exhaustive DFS, uniform random, PCT, swarm) and [domains] how many
-    worker domains partition the work ({!Ascy_sct.Par_explore}).  The
-    default — exhaustive, one domain — is the byte-identical historical
-    path.  Findings from every policy and domain count flow through the
-    same minimize/replay pipeline, and for a fixed policy seed the
-    finding is domain-count invariant. *)
+    worker domains share a randomized policy's schedule budget
+    ({!Ascy_sct.Par_explore}); exhaustive exploration is the one
+    sequential DFS at any domain count.  Findings from every policy and
+    domain count flow through the same minimize/replay pipeline, and for
+    a fixed policy seed the finding is domain-count invariant. *)
 let explore ?mode ?(bounds = Explorer.default_bounds) ?races ?model ?policy ?domains spec =
   let maker = maker_of spec in
   let report =

@@ -118,14 +118,7 @@ let run ?(seed = 1) ?(latency = false) ?history ?(trace_capacity = 0)
               H.add h (float_of_int (t1 - t0) /. ghz)
             end;
             match history with
-            | Some h ->
-                let kind =
-                  match op with
-                  | Workload.Search -> History.Search
-                  | Workload.Insert -> History.Insert
-                  | Workload.Remove -> History.Remove
-                in
-                History.record h ~tid ~kind ~key:k ~result:ok ~inv:t0 ~res:t1
+            | Some h -> History.record h ~tid ~kind:op ~key:k ~result:ok ~inv:t0 ~res:t1
             | None -> ()
           end;
           Sim.Trace.op_end (op_code op);

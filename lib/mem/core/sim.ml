@@ -282,10 +282,10 @@ let model_name sim = model_name_of sim.coh_spec
 
 (* The simulation the calling domain is currently driving.  The
    simulator is single-threaded *per domain*: one domain-local slot
-   (Domain.DLS) lets the parallel explorer ([Ascy_sct.Par_explore])
-   re-execute independent schedule prefixes on separate domains, each
-   driving its own installed simulation, while a single-domain process
-   behaves exactly as with the historical global slot. *)
+   (Domain.DLS) lets the parallel randomized explorer
+   ([Ascy_sct.Par_explore]) run schedule chunks on separate domains,
+   each driving its own installed simulation, while a single-domain
+   process behaves exactly as with the historical global slot. *)
 let current_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let current () = Domain.DLS.get current_key

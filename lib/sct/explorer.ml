@@ -19,15 +19,14 @@
     call to {!explore} makes one path and reuses it across its runs, so
     a run allocates no path storage once the arrays are large enough.
 
-    The default choice is free.  A decision below the prefix that a
-    run reaches for the first time takes the default policy's choice,
-    the head of {!Scheduler.candidate_order}: by construction it costs
-    no preemption and no delay, so its slot adds 0 to both budgets and
+    The default choice is free.  A decision that a run reaches for the
+    first time takes the default policy's choice, the head of
+    {!Scheduler.candidate_order}: by construction it costs no
+    preemption and no delay, so its slot adds 0 to both budgets and
     reads its action straight from the runnable set.  The cost
-    functions run only for decisions the prefix forces, for a choice a
-    backtrack switches (from the slot's snapshot) and for DPOR's
-    candidate backtrack points.  A switched slot's action is read when
-    the next run replays to it.
+    functions run only for a choice a backtrack switches (from the
+    slot's snapshot) and for DPOR's candidate backtrack points.  A
+    switched slot's action is read when the next run replays to it.
 
     Exploration is bounded by:
     - [preemptions]: schedules may deschedule a runnable thread mid-slice
@@ -174,42 +173,9 @@ let set_stride p threads =
 (** [explore ?mode ?bounds ~run ()] — [run ~sched] must execute the
     program under test from scratch inside a fresh simulation driven by
     [sched], then evaluate its oracle: [None] for a passing run, [Some
-    desc] for a violation.  Exploration stops at the first failure.
-
-    The remaining optionals turn one call into a {e task} of a
-    partitioned exploration (see {!Par_explore}); all default to the
-    historical whole-space behavior, byte-identically:
-    - [prefix] pins the first decisions: the task owns the subtree under
-      that prefix and never backtracks above it;
-    - [window] bounds how deep below the prefix this task branches
-      locally.  Backtrack points above the prefix or beyond the window
-      are handed to [on_defer] as fully-forced prefixes (one new task
-      each, deduplicated within this task) instead of being explored
-      here;
-    - [stop] is polled between runs: when it turns true the task
-      abandons the rest of its subtree and reports incomplete (used to
-      cancel siblings once any task has found a failure). *)
-let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?on_defer
-    ?stop ~run () =
+    desc] for a violation.  Exploration stops at the first failure. *)
+let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
   let p = new_path () in
-  let plen = Array.length prefix in
-  let wlimit = match window with Some w -> plen + w | None -> max_int in
-  (* Hand [chosen.(0..j-1); t] to the coordinator as a new task's
-     prefix.  Dedup by content: distinct runs of this task rediscover
-     the same out-of-window backtrack points. *)
-  let defer =
-    match on_defer with
-    | None -> fun _ _ -> ()
-    | Some emit ->
-        let deferred = Hashtbl.create 16 in
-        fun j t ->
-          let pfx = Array.init (j + 1) (fun i -> if i = j then t else p.chosen.(i)) in
-          let key = String.concat "," (Array.to_list (Array.map string_of_int pfx)) in
-          if not (Hashtbl.mem deferred key) then begin
-            Hashtbl.add deferred key ();
-            emit pfx
-          end
-  in
   let nsched = ref 0 in
   let nsteps = ref 0 in
   let failure = ref None in
@@ -254,7 +220,7 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
     p.delays.(d) <- above p.delays d + Scheduler.delay_cost ~prev ~run_len r t
   in
   (* Record the decision at depth [d], reached for the first time, and
-     return its choice: the prefix's, else the default policy's. *)
+     return its choice: the default policy's, which is free. *)
   let push st (r : Sim.runnable) d =
     if d = Array.length p.chosen then grow p;
     if d = 0 then set_stride p (Array.length r.Sim.r_acts);
@@ -264,18 +230,11 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
     done;
     p.snap_n.(d) <- n;
     p.run_len.(d) <- st.Scheduler.run_len;
-    let chosen = if d < plen then prefix.(d) else Scheduler.default_choice st r in
+    let chosen = Scheduler.default_choice st r in
     p.chosen.(d) <- chosen;
-    if d < plen then begin
-      p.action.(d) <- Scheduler.action_of chosen r;
-      charge d r
-    end
-    else begin
-      (* the default choice is free *)
-      p.action.(d) <- r.Sim.r_acts.(chosen);
-      p.preempts.(d) <- above p.preempts d;
-      p.delays.(d) <- above p.delays d
-    end;
+    p.action.(d) <- r.Sim.r_acts.(chosen);
+    p.preempts.(d) <- above p.preempts d;
+    p.delays.(d) <- above p.delays d;
     (* a dropped slot's sets are usually already empty: testing first
        skips the write barrier *)
     if p.explored.(d) != [] then p.explored.(d) <- [];
@@ -285,28 +244,28 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
       else Dpor.empty_sleep
     in
     if p.sleep.(d) != sleep then p.sleep.(d) <- sleep;
-    (match mode with
-    | Naive when d >= plen ->
-        let todo = ref [] in
-        for i = n - 1 downto 0 do
-          let t = r.Sim.r_tids.(i) in
-          if t <> chosen && in_bounds d r t then
-            if d >= wlimit then defer d t else todo := t :: !todo
-        done;
-        p.todo.(d) <- !todo
-    | Naive | Dpor -> ());
+    if mode = Naive then begin
+      let todo = ref [] in
+      for i = n - 1 downto 0 do
+        let t = r.Sim.r_tids.(i) in
+        if t <> chosen && in_bounds d r t then todo := t :: !todo
+      done;
+      p.todo.(d) <- !todo
+    end;
     p.len <- d + 1;
     chosen
   in
   (* DPOR: [t] conflicts with the step taken at depth [j]; explore it
-     there (or defer it) if it was runnable and fits the bounds *)
+     there if it was runnable and fits the bounds *)
   let add_backtrack j t =
     if t <> p.chosen.(j) then begin
       let v = view j in
-      if Scheduler.index_of t v >= 0 && in_bounds j v t then
-        if j < plen || j >= wlimit then defer j t
-        else if (not (List.mem t p.explored.(j))) && not (List.mem t p.todo.(j)) then
-          p.todo.(j) <- t :: p.todo.(j)
+      if
+        Scheduler.index_of t v >= 0
+        && in_bounds j v t
+        && (not (List.mem t p.explored.(j)))
+        && not (List.mem t p.todo.(j))
+      then p.todo.(j) <- t :: p.todo.(j)
     end
   in
   (* the next live alternative at depth [d], or -1 *)
@@ -331,7 +290,7 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
      when the in-bound space is exhausted.  A slot with nothing left to
      try is dropped as it is: its explored and sleep sets die with it. *)
   let rec backtrack d =
-    if d < plen then false
+    if d < 0 then false
     else
       match p.todo.(d) with
       | [] -> backtrack (d - 1)
@@ -397,11 +356,6 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ?(prefix = [||]) ?window ?
         end;
         (match bounds.max_schedules with
         | Some budget when !nsched >= budget ->
-            complete := false;
-            finished := true
-        | _ -> ());
-        (match stop with
-        | Some cancelled when cancelled () ->
             complete := false;
             finished := true
         | _ -> ());

@@ -23,16 +23,14 @@ module X = Ascy_util.Xorshift
 
 (** Runtime knobs the scenario does not fix: virtual-time source and
     latency unit (simulator) or neither (native), optional per-op
-    history recording, fail-over staleness tuning, and the
-    message-fault source for the queue-layer fault matrix. *)
+    history recording, and the message-fault source for the queue-layer
+    fault matrix. *)
 type knobs = {
   now : unit -> int;  (** calling thread's clock, cycles; [fun () -> 0] natively *)
   cycle_ns : float;  (** ns per cycle for latency histograms; [<= 0.] disables them *)
   record :
     (sid:int -> op:W.op -> key:int -> ok:bool -> inv:int -> res:int -> unit) option;
       (** linearizability spot-check hook, called at apply time *)
-  hb_gap : int;  (** standby poll gap, cycles of local work *)
-  hb_polls : int;  (** stale heartbeat polls before a standby takes the lease *)
   poll_fault : unit -> Ascy_mem.Simtypes.msg_fault option;
       (** polled once per client send boundary; the returned token is
           enacted on that message.  The simulator binding is
@@ -40,13 +38,17 @@ type knobs = {
           fault-free simulations) *)
 }
 
+(** Standby poll gap, cycles of local work. *)
+let hb_gap = 5_000
+
+(** Stale heartbeat polls before a standby takes the lease. *)
+let hb_polls = 8
+
 let default_knobs =
   {
     now = (fun () -> 0);
     cycle_ns = 0.0;
     record = None;
-    hb_gap = 5_000;
-    hb_polls = 8;
     poll_fault = (fun () -> None);
   }
 
@@ -514,10 +516,10 @@ module Make (Mem : Ascy_mem.Memory.S) (A : Ascy_core.Set_intf.MAKER) = struct
     let rec watch last stale =
       if Mem.get sh.done_flag then ()
       else begin
-        Mem.work knobs.hb_gap;
+        Mem.work hb_gap;
         let h = Mem.get sh.hb in
         if h <> last then watch h 0
-        else if stale + 1 >= knobs.hb_polls then begin
+        else if stale + 1 >= hb_polls then begin
           if Mem.cas sh.lease 0 1 then begin
             sh.s_takeovers <- sh.s_takeovers + 1;
             (* freeze the corpse's in-flight marker before our own

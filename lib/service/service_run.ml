@@ -66,11 +66,6 @@ type result = {
   rmetrics : Resilience.metrics;  (** merged resilience counters (zero when disabled) *)
 }
 
-let hist_kind = function
-  | W.Search -> History.Search
-  | W.Insert -> History.Insert
-  | W.Remove -> History.Remove
-
 (* Staggered crash plan over the first half of the calibrated run: the
    primary of shard [sid] dies at (sid+1)/(2(nshards+1)) of the
    fault-free decision count — a rolling wave of node failures. *)
@@ -179,12 +174,11 @@ let run ?(seed = 1) ?(model = Sim.default_model) ?(platform = P.xeon20) ?(check 
         let record =
           Option.map
             (fun h ~sid ~op ~key ~ok ~inv ~res ->
-              if sid = 0 then History.record h ~tid:0 ~kind:(hist_kind op) ~key ~result:ok ~inv ~res)
+              if sid = 0 then History.record h ~tid:0 ~kind:op ~key ~result:ok ~inv ~res)
             history
         in
         let knobs =
           {
-            Cluster.default_knobs with
             Cluster.now = (fun () -> Sim.now ());
             cycle_ns = 1.0 /. platform.P.ghz;
             record;

@@ -1,11 +1,10 @@
-(* Parallel exploration determinism: Ascy_sct.Par_explore partitions
-   the DPOR frontier (or a randomized policy's schedule budget) across
-   OCaml domains, and its whole contract is that the partition changes
-   only wall-clock — verdicts, schedule-space sizes and counterexamples
-   are invariant under the domain count.  These tests run the *task
-   machinery itself* at 1 and 4 domains (Par_explore.explore never
-   delegates to the plain sequential explorer, precisely so this
-   equality is testable) and compare everything.
+(* Parallel exploration: Ascy_sct.Par_explore runs an exhaustive
+   policy on the sequential explorer at every domain count, and
+   partitions a randomized policy's schedule budget across OCaml
+   domains.  Its contract is that the domain count changes only
+   wall-clock: verdicts, schedule-space sizes and counterexamples are
+   invariant.  These tests run it at 1 and 4 domains and compare
+   everything.
 
    Also here: the seeded-stream primitives the randomized policies'
    determinism rests on (Xorshift.split / jump). *)
@@ -40,33 +39,27 @@ let run_of spec =
   fun ~sched -> Sct.run_once maker spec ~sched
 
 (* ------------------------------------------------------------------ *)
-(* Exhaustive partition: 1 domain = 4 domains                          *)
+(* Exhaustive: one engine at every domain count                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One correct algorithm per family: the partitioned DPOR must exhaust
-   the identical schedule space — same verdict, same schedule count,
-   same decision count, same task fixed point — at any domain count. *)
-let partition_deterministic name () =
-  let explore domains =
-    Par.explore ~bounds:small_bounds ~domains ~run:(run_of (duel name)) ()
+(* Par_explore hands an exhaustive policy to the sequential explorer
+   whatever the domain count: the whole report matches, on a clean spec
+   and on a failing one. *)
+let exhaustive_is_sequential name () =
+  let run = run_of (duel name) in
+  let seq = Explorer.explore ~bounds:small_bounds ~run () in
+  let par = (Par.explore ~bounds:small_bounds ~domains:4 ~run ()).Par.p_report in
+  let failure (r : Explorer.report) =
+    Option.map (fun f -> (f.Explorer.f_desc, f.Explorer.f_schedule)) r.Explorer.failure
   in
-  let r1 = explore 1 and r4 = explore 4 in
-  Alcotest.(check bool) "no violation at 1 domain" true
-    (r1.Par.p_report.Explorer.failure = None);
-  Alcotest.(check bool) "no violation at 4 domains" true
-    (r4.Par.p_report.Explorer.failure = None);
-  Alcotest.(check int) "identical schedule-space size"
-    r1.Par.p_report.Explorer.schedules r4.Par.p_report.Explorer.schedules;
-  Alcotest.(check int) "identical decision count" r1.Par.p_report.Explorer.steps
-    r4.Par.p_report.Explorer.steps;
-  Alcotest.(check bool) "both complete" true
-    (r1.Par.p_report.Explorer.complete && r4.Par.p_report.Explorer.complete);
-  Alcotest.(check int) "identical task fixed point" r1.Par.p_tasks r4.Par.p_tasks
+  Alcotest.(check (option (pair string (array int)))) "failure" (failure seq) (failure par);
+  Alcotest.(check int) "schedules" seq.Explorer.schedules par.Explorer.schedules;
+  Alcotest.(check int) "steps" seq.Explorer.steps par.Explorer.steps;
+  Alcotest.(check bool) "complete" seq.Explorer.complete par.Explorer.complete
 
 (* The 3-thread fuzz spec that exposed (and now regression-tests) the
    bst-howley splice-resurrection bug: the repaired protocol must stay
-   clean under the partitioned DPOR at any domain count, with the
-   identical exhausted space. *)
+   clean, and the explorer must exhaust its space at default bounds. *)
 let fuzz name =
   Sct.mk_spec ~name ~initial:[ 2 ]
     ~script:
@@ -77,24 +70,18 @@ let fuzz name =
       |]
     ()
 
-let test_howley_fuzz_partition_invariant () =
+let test_howley_fuzz_clean () =
   let spec = fuzz "bst-howley" in
   let maker = (Registry.by_name spec.Sct.name).Registry.maker in
   let run ~sched =
     Sct.run_once ~model:(Ascy_mem.Sim.model_of_name "flat") maker spec ~sched
   in
-  let explore domains = Par.explore ~bounds:Explorer.default_bounds ~domains ~run () in
-  let r1 = explore 1 and r4 = explore 4 in
-  Alcotest.(check bool) "clean at 1 domain" true (r1.Par.p_report.Explorer.failure = None);
-  Alcotest.(check bool) "clean at 4 domains" true (r4.Par.p_report.Explorer.failure = None);
-  Alcotest.(check int) "identical schedule-space size"
-    r1.Par.p_report.Explorer.schedules r4.Par.p_report.Explorer.schedules;
-  Alcotest.(check bool) "both complete" true
-    (r1.Par.p_report.Explorer.complete && r4.Par.p_report.Explorer.complete)
+  let r = Explorer.explore ~bounds:Explorer.default_bounds ~run () in
+  Alcotest.(check bool) "clean" true (r.Explorer.failure = None);
+  Alcotest.(check bool) "complete" true r.Explorer.complete
 
 (* On a failing spec every domain count must report the byte-identical
-   canonical counterexample (recomputed sequentially), and it must be
-   the one the plain sequential explorer finds. *)
+   counterexample the plain sequential explorer finds. *)
 let test_canonical_counterexample () =
   let run = run_of (duel "ll-async") in
   let seq = Explorer.explore ~bounds:small_bounds ~run () in
@@ -153,6 +140,25 @@ let test_random_partition_failure () =
   Alcotest.(check string) "same violation" f1.Explorer.f_desc f4.Explorer.f_desc;
   Alcotest.(check (array int)) "same failing schedule" f1.Explorer.f_schedule
     f4.Explorer.f_schedule
+
+(* An exception a run raises inside a randomized chunk reaches the
+   caller as itself at any domain count, and the pool does not hang
+   waiting for the worker it killed.  The probe run before the chunk
+   plan passes. *)
+exception Boom
+
+let test_random_chunk_exception () =
+  List.iter
+    (fun domains ->
+      let calls = Atomic.make 0 in
+      let run ~sched =
+        if Atomic.fetch_and_add calls 1 >= 3 then raise Boom;
+        run_of (duel "ll-lazy") ~sched
+      in
+      let policy = Explorer.Random { seed = 1; schedules = 256 } in
+      Alcotest.check_raises (Printf.sprintf "Boom at %d domains" domains) Boom (fun () ->
+          ignore (Par.explore ~bounds:small_bounds ~policy ~domains ~run ())))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Seeded stream primitives                                            *)
@@ -218,24 +224,18 @@ let test_jump () =
 
 let suite =
   [
-    Alcotest.test_case "partitioned DPOR deterministic: ll-lazy" `Quick
-      (partition_deterministic "ll-lazy");
-    Alcotest.test_case "partitioned DPOR deterministic: ht-lazy" `Quick
-      (partition_deterministic "ht-lazy");
-    Alcotest.test_case "partitioned DPOR deterministic: sl-herlihy" `Quick
-      (partition_deterministic "sl-herlihy");
-    Alcotest.test_case "partitioned DPOR deterministic: bst-tk" `Quick
-      (partition_deterministic "bst-tk");
-    Alcotest.test_case "partitioned DPOR deterministic: ll-pathcas" `Quick
-      (partition_deterministic "ll-pathcas");
+    Alcotest.test_case "exhaustive at 4 domains: ll-lazy" `Quick
+      (exhaustive_is_sequential "ll-lazy");
+    Alcotest.test_case "exhaustive at 4 domains: ll-async" `Quick
+      (exhaustive_is_sequential "ll-async");
     Alcotest.test_case "canonical counterexample across domain counts" `Quick
       test_canonical_counterexample;
-    Alcotest.test_case "bst-howley fuzz clean across domain counts" `Quick
-      test_howley_fuzz_partition_invariant;
+    Alcotest.test_case "bst-howley fuzz clean and complete" `Quick test_howley_fuzz_clean;
     Alcotest.test_case "random partition: clean spec, invariant budget" `Quick
       test_random_partition_clean;
     Alcotest.test_case "random partition: invariant counterexample" `Quick
       test_random_partition_failure;
+    Alcotest.test_case "random partition: run exception" `Quick test_random_chunk_exception;
     Alcotest.test_case "xorshift split is deterministic and distinct" `Quick
       test_split_deterministic;
     Alcotest.test_case "xorshift split streams look uniform" `Quick test_split_distribution;

@@ -303,11 +303,11 @@ let test_pct_depth_guarantee () =
 
 (* The schedule counts above pin how many schedules an exploration
    runs; this pins which ones and in what order.  The digest folds in
-   every run's full decision sequence as the simulator saw it, every
-   prefix [on_defer] emits, in order, and the report.  The expected
-   values were recorded before the explorer's DFS path became flat
-   arrays, which must not change a single decision. *)
-let order_digest ?prefix ?window ~mode ~bounds spec =
+   every run's full decision sequence as the simulator saw it, in
+   order, and the report.  The expected values were recorded before the
+   explorer's DFS path became flat arrays, which must not change a
+   single decision. *)
+let order_digest ~mode ~bounds spec =
   let maker = Sct.maker_of spec in
   let h = ref (Digest.string "") in
   let fold tag ints =
@@ -328,7 +328,7 @@ let order_digest ?prefix ?window ~mode ~bounds spec =
       ~finally:(fun () -> fold "run:" (Ascy_util.Vec.to_array trace))
       (fun () -> Sct.run_once maker spec ~sched)
   in
-  let r = Explorer.explore ~mode ~bounds ?prefix ?window ~on_defer:(fold "defer:") ~run () in
+  let r = Explorer.explore ~mode ~bounds ~run () in
   let f_desc, f_schedule =
     match r.Explorer.failure with
     | Some f -> (f.Explorer.f_desc, f.Explorer.f_schedule)
@@ -341,13 +341,10 @@ let order_digest ?prefix ?window ~mode ~bounds spec =
   (r.Explorer.schedules, Digest.to_hex !h)
 
 let test_exploration_order_pinned () =
-  let case label expected (schedules, digest) =
-    Alcotest.(check (pair int string)) label expected (schedules, digest)
-  in
   let default = Explorer.default_bounds and small = small_bounds in
   List.iter
     (fun (label, spec, mode, bounds, expected) ->
-      case label expected (order_digest ~mode ~bounds spec))
+      Alcotest.(check (pair int string)) label expected (order_digest ~mode ~bounds spec))
     [
       ("ll-lazy duel, dpor", duel "ll-lazy", Explorer.Dpor, default,
        (215, "9c79e6d47ddc332738131ffaa29ac92f"));
@@ -364,15 +361,7 @@ let test_exploration_order_pinned () =
          schedule are part of the report *)
       ("ll-async duel, failing dpor", duel "ll-async", Explorer.Dpor, default,
        (4, "194ce342f07c98d0f1ab68d2706aeb63"));
-    ];
-  (* one Par_explore task: a forced two-decision prefix that spends a
-     preemption and delays, and a window, so backtrack points above the
-     prefix and below the window are deferred while the rest are
-     explored here *)
-  case "ll-lazy fuzz task under a prefix and window"
-    (11, "ae9d7e40d5486b33c93d49196c4c741b")
-    (order_digest ~prefix:[| 1; 0 |] ~window:30 ~mode:Explorer.Dpor ~bounds:default
-       (fuzz "ll-lazy"))
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The incomplete flag                                                 *)
