@@ -48,7 +48,11 @@ let () =
       | Some names when not (List.mem name names) -> ()
       | _ ->
           let t = Unix.gettimeofday () in
-          Results.with_sink ~meta:[ ("mode", J.String mode_name) ] name f;
+          (* the coherence model is recorded only when it is not the
+             default, so default-model files keep their bytes *)
+          Results.with_sink
+            ~meta:(("mode", J.String mode_name) :: Ascy_harness.Engine.model_meta Bench_config.model)
+            name f;
           Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t))
     experiments;
   Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

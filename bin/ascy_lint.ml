@@ -29,10 +29,12 @@
    under lib/ is a finding.
 
    Rule D — every simulated execution goes through the engine.  Under
-   lib/, the tokens [Sim.run] and [Sim.with_sim] may appear only in
-   [lib/harness/engine.ml], so that a knob added to [Engine.config]
-   (model, faults, observers, race detection) reaches every harness.
-   There are no exceptions.
+   lib/, the tokens [Sim.run], [Sim.with_sim] and [Sim.set_observer]
+   may appear only in [lib/harness/engine.ml], so that a knob added to
+   [Engine.config] (model, faults, scheduler, observer) reaches every
+   harness, and instrumentation (race detection, profiling, trace
+   rings) has one installer: a session's [config.observer].  There are
+   no exceptions.
 
    Rule E — one command-line spine.  Under lib/, bin/ and examples/,
    [Sys.argv] and the output-channel openers ([open_out*],
@@ -337,11 +339,11 @@ let check_rule_c path text =
         (String.concat " and " rule_c_whitelist))
 
 let check_rule_d path text =
-  check_tokens path text [ "Sim.run"; "Sim.with_sim" ] (fun tok ->
+  check_tokens path text [ "Sim.run"; "Sim.with_sim"; "Sim.set_observer" ] (fun tok ->
       Printf.sprintf
-        "[%s] outside the engine — run simulated executions \
-         through Ascy_harness.Engine (with_session/run) so every \
-         engine knob applies; only %s may call it"
+        "[%s] outside the engine — run simulated executions and \
+         attach observers through Ascy_harness.Engine (with_session/run, \
+         config.observer) so every engine knob applies; only %s may call it"
         tok engine)
 
 let check_rule_e path text =

@@ -1,6 +1,7 @@
 (** Per-operation access profiles over the simulator's observer stream.
 
-    A {!t} attaches to a run through {!Ascy_mem.Sim.set_observer} and
+    A {!t} attaches to a run as a session's observer
+    ([Ascy_harness.Engine.config.observer]) and
     splits every committed access and algorithm event of every operation
     into a {e parse} and a {e modify} bucket — exactly the accounting the
     ASCY patterns (paper §5) are stated in:
@@ -15,9 +16,8 @@
     - semantic events (restarts, waits, lock acquisitions, clean-ups,
       helping) are folded into the bucket they occur in.
 
-    Operations are delimited by the harness's existing
-    {!Ascy_mem.Sim.Trace.op_start}/[op_end] brackets, which reach the
-    observer even when the trace rings are off — profiling is always
+    Operations are delimited by the harness's
+    {!Ascy_mem.Sim.op_start}/[op_end] brackets — profiling is always
     available and costs nothing when no observer is installed.  The
     operation's outcome is supplied by the runner via {!set_outcome}
     before the closing bracket. *)
@@ -143,15 +143,15 @@ let on_op_end t tid _code =
   ts.in_parse <- false
 
 (** Record the outcome of [tid]'s open operation; the runner calls this
-    after the operation returns and before {!Ascy_mem.Sim.Trace.op_end}. *)
+    after the operation returns and before {!Ascy_mem.Sim.op_end}. *)
 let set_outcome t ~tid ~ok =
   match t.threads.(tid).cur with Some p -> p.p_ok <- ok | None -> ()
 
-(** The observer feeding this collector; install it with
-    {!Ascy_mem.Sim.set_observer}. *)
+(** The observer feeding this collector; attach it as a session's
+    [config.observer]. *)
 let observer t : Sim.observer =
   {
-    Sim.obs_access = (fun tid kind line -> on_access t tid kind line);
+    Sim.obs_access = (fun tid kind line _ -> on_access t tid kind line);
     obs_rmw = (fun tid ok -> on_rmw t tid ok);
     obs_event = (fun tid code -> on_event t tid code);
     obs_op_start = (fun tid code -> on_op_start t tid code);

@@ -119,11 +119,11 @@ let on_rmw t tid ok =
     end
   end
 
-(** The observer feeding this detector; install it with
-    {!Ascy_mem.Sim.set_observer}. *)
+(** The observer feeding this detector; attach it as a session's
+    [config.observer]. *)
 let observer t : Sim.observer =
   {
-    Sim.obs_access = (fun tid kind line -> on_access t tid kind line);
+    Sim.obs_access = (fun tid kind line _ -> on_access t tid kind line);
     obs_rmw = (fun tid ok -> on_rmw t tid ok);
     obs_event = (fun _ _ -> ());
     obs_op_start = (fun _ _ -> ());
@@ -136,3 +136,14 @@ let observer t : Sim.observer =
 let races t = List.rev t.races
 
 let total t = t.count
+
+(** The canonical race-oracle description of the run [t] observed, if
+    it saw any race.  The exact string is part of the replay-file
+    contract (counterexample descriptions must reproduce bit-for-bit),
+    so every oracle goes through here. *)
+let violation t =
+  if t.count = 0 then None
+  else
+    Some
+      (Printf.sprintf "%d distinct data race(s); first: %s" t.count
+         (describe (List.hd (races t))))

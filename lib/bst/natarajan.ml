@@ -162,12 +162,14 @@ module Make (Mem : Ascy_mem.Memory.S) = struct
       let g, p, e = seek t k in
       match e.target with
       | Leaf l when l.key = k ->
-          if e.flag then None (* another remove owns this leaf: ASCY3 *)
-          else if e.tag then begin
-            (* our side is the frozen sibling of an unfinished removal on
-               p's other side: help it, then retry *)
+          if e.flag || e.tag then begin
+            (* an unfinished removal is parked here: help it, then retry.
+               A flag means another remove owns our leaf, which stays
+               reachable (present to searches and inserts) until it is
+               detached; a tag means our side is the frozen sibling of a
+               removal on p's other side *)
             Mem.emit E.help;
-            ignore (cleanup t g p ~victim_left:(k >= p.key));
+            ignore (cleanup t g p ~victim_left:(if e.flag then k < p.key else k >= p.key));
             claim ()
           end
           else begin

@@ -119,7 +119,7 @@ let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
               let k = 1 + Ascy_util.Xorshift.below rng cfg.key_range in
               let r = Ascy_util.Xorshift.below rng 100 in
               let op = if r >= cfg.update_pct then 0 else if r land 1 = 0 then 1 else 2 in
-              Sim.Trace.op_start op;
+              Sim.op_start op;
               let ok =
                 match op with
                 | 0 -> M.search t k <> None
@@ -127,7 +127,7 @@ let profile_run ?(model = Sim.default_model) (entry : Registry.entry) cfg =
                 | _ -> M.remove t k
               in
               Profile.set_outcome col ~tid ~ok;
-              Sim.Trace.op_end op;
+              Sim.op_end op;
               M.op_done t
             done
           in

@@ -8,13 +8,19 @@
     {!Ascy_mem.Sim} — three slightly different copies of the same
     wiring.  [Engine] is that wiring, once: a {!config} record names
     every knob of a simulated execution, {!with_session} turns it into
-    an installed simulation with the requested instrumentation attached,
-    and {!run} executes thread bodies under the configured scheduler and
+    an installed simulation with its observer attached, and {!run}
+    executes thread bodies under the configured scheduler and
     fault plan.  Algorithm-level event counts ({!Ascy_mem.Event}) come
     from the session's simulator; natively [Memory.S.emit] is a no-op.
     Exploration policy and worker domains are not session knobs: the
     drivers that explore ({!Sct_run.explore}, [bin/ascy_explore]) take
     them directly.
+
+    Instrumentation is one knob, [observer]: a race detector
+    ({!Ascy_analysis.Race}), a profiler ({!Ascy_analysis.Profile}), the
+    trace rings ({!Ascy_analysis.Trace}) or any composition of them
+    ({!Ascy_mem.Sim.compose_observers}).  This module is the one place
+    that installs an observer into a simulation.
 
     The config is also where the pluggable coherence model surfaces in
     the harness: [model] selects {!Ascy_mem.Models.mesi} (default,
@@ -25,76 +31,37 @@
 
 module Sim = Ascy_mem.Sim
 module P = Ascy_platform.Platform
-module Race = Ascy_analysis.Race
 
 type config = {
   platform : P.t;
   nthreads : int;
-  trace_capacity : int;  (** per-thread trace-ring entries; 0 = rings off *)
   model : Sim.model;  (** coherence cost model *)
   scheduler : Sim.scheduler option;  (** [None] = free-running (smallest clock) *)
   faults : Sim.fault_event list;  (** injected fault plan; [[]] = none *)
-  races : bool;  (** attach a happens-before race detector *)
-  observer : Sim.observer option;  (** extra analysis observer *)
+  observer : Sim.observer option;  (** instrumentation; [None] = none *)
 }
 
 (** The baseline configuration: free-running, MESI, no faults, no
     instrumentation — what {!Sim_run} historically did. *)
 let default ~platform ~nthreads =
-  {
-    platform;
-    nthreads;
-    trace_capacity = 0;
-    model = Sim.default_model;
-    scheduler = None;
-    faults = [];
-    races = false;
-    observer = None;
-  }
+  { platform; nthreads; model = Sim.default_model; scheduler = None; faults = []; observer = None }
 
-(** One installed simulation plus the instrumentation the config asked
-    for.  [race] is the live detector when [cfg.races]; query it after
-    {!run} (e.g. via {!race_violation}). *)
-type session = {
-  cfg : config;
-  sim : Sim.t;
-  race : Race.t option;
-}
+(** One installed simulation and the config it was built from. *)
+type session = { cfg : config; sim : Sim.t }
 
 (** [with_session cfg f] installs a fresh simulation built from [cfg]
     (so [f] can build structures through [Sim.Mem] and prefill outside
-    simulated time), attaches the race detector and/or extra observer,
-    runs [f session], and uninstalls everything. *)
+    simulated time), attaches [cfg.observer], runs [f session], and
+    uninstalls everything. *)
 let with_session cfg f =
-  Sim.with_sim ~trace_capacity:cfg.trace_capacity ~model:cfg.model ~platform:cfg.platform
-    ~nthreads:cfg.nthreads (fun sim ->
-      let race = if cfg.races then Some (Race.create ~nthreads:cfg.nthreads) else None in
-      let observer =
-        match (race, cfg.observer) with
-        | Some d, Some o -> Some (Sim.compose_observers (Race.observer d) o)
-        | Some d, None -> Some (Race.observer d)
-        | None, o -> o
-      in
-      Sim.set_observer sim observer;
-      f { cfg; sim; race })
+  Sim.with_sim ~model:cfg.model ~platform:cfg.platform ~nthreads:cfg.nthreads (fun sim ->
+      Sim.set_observer sim cfg.observer;
+      f { cfg; sim })
 
 (** Execute [bodies] under the session's scheduler and fault plan;
     returns the makespan ({!Ascy_mem.Sim.run}). *)
 let run session bodies =
   Sim.run ?scheduler:session.cfg.scheduler ~faults:session.cfg.faults session.sim bodies
-
-(** The canonical race-oracle description for this session's run, if the
-    detector saw any race.  The exact string is part of the replay-file
-    contract (counterexample descriptions must reproduce bit-for-bit),
-    so every oracle goes through here. *)
-let race_violation session =
-  match session.race with
-  | Some d when Race.total d > 0 ->
-      let first = List.hd (Race.races d) in
-      Some
-        (Printf.sprintf "%d distinct data race(s); first: %s" (Race.total d)
-           (Race.describe first))
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Model selection in replay metadata                                  *)

@@ -166,12 +166,13 @@ let run ?(faults = []) ?(races = false) ?(model = Sim.default_model) ?watchdog ?
           end;
           sched runnable
   in
+  let race = if races then Some (Ascy_analysis.Race.create ~nthreads:spec.nthreads) else None in
   let cfg =
     {
       (Engine.default ~platform:spec.platform ~nthreads:spec.nthreads) with
       scheduler = Some sched;
       faults;
-      races;
+      observer = Option.map Ascy_analysis.Race.observer race;
       model;
     }
   in
@@ -246,7 +247,7 @@ let run ?(faults = []) ?(races = false) ?(model = Sim.default_model) ?watchdog ?
           (keys_of spec)
       in
       let oracles () =
-        match Engine.race_violation session with
+        match Option.bind race Ascy_analysis.Race.violation with
         | Some desc -> Some desc
         | None when not check -> None
         | None -> (

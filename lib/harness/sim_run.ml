@@ -44,25 +44,24 @@ type result = {
   final_size : int;
 }
 
-(* Trace op codes used with Sim.Trace.op_start/op_end. *)
+(* Operation codes used with Sim.op_start/op_end. *)
 let op_code = function Workload.Search -> 0 | Workload.Insert -> 1 | Workload.Remove -> 2
 
-(** [run ?seed ?latency ?history ?trace_capacity ?model (module A)
+(** [run ?seed ?latency ?history ?model (module A)
     ~platform ~nthreads ~workload ~ops_per_thread] executes the workload
     deterministically on the simulated machine and returns every metric
     of one experiment point.  [latency = true] records a per-operation
     latency sample (ns).  [history] records every operation's
     invocation/response cycle stamps and result for linearizability
     checking ({!History.check}); prefilled keys are registered as the
-    history's initial state.  [trace_capacity] enables the simulator's
-    per-thread trace rings ({!Ascy_mem.Sim.Trace}).  [model] selects the
-    coherence cost model (default MESI; measurements under [flat] are
-    meaningless by construction — see {!Ascy_mem.Coh_flat}). *)
-let run ?(seed = 1) ?(latency = false) ?history ?(trace_capacity = 0)
-    ?(model = Sim.default_model) (module A : Ascy_core.Set_intf.MAKER) ~platform ~nthreads
-    ~(workload : Workload.t) ~ops_per_thread () =
+    history's initial state.  [model] selects the coherence cost model
+    (default MESI; measurements under [flat] are meaningless by
+    construction — see {!Ascy_mem.Coh_flat}). *)
+let run ?(seed = 1) ?(latency = false) ?history ?(model = Sim.default_model)
+    (module A : Ascy_core.Set_intf.MAKER) ~platform ~nthreads ~(workload : Workload.t)
+    ~ops_per_thread () =
   let module M = A (Sim.Mem) in
-  let cfg = { (Engine.default ~platform ~nthreads) with trace_capacity; model } in
+  let cfg = { (Engine.default ~platform ~nthreads) with model } in
   Engine.with_session cfg (fun session ->
       let sim = session.Engine.sim in
       (* build + prefill happen outside simulated time *)
@@ -87,7 +86,7 @@ let run ?(seed = 1) ?(latency = false) ?history ?(trace_capacity = 0)
         for _ = 1 to ops_per_thread do
           let k = Workload.pick_key workload rng in
           let op = Workload.pick_op workload rng in
-          Sim.Trace.op_start (op_code op);
+          Sim.op_start (op_code op);
           let t0 = if timed then Sim.now () else 0 in
           let ok =
             match op with
@@ -121,7 +120,7 @@ let run ?(seed = 1) ?(latency = false) ?history ?(trace_capacity = 0)
             | Some h -> History.record h ~tid ~kind:op ~key:k ~result:ok ~inv:t0 ~res:t1
             | None -> ()
           end;
-          Sim.Trace.op_end (op_code op);
+          Sim.op_end (op_code op);
           M.op_done t
         done
       in

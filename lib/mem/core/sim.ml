@@ -26,15 +26,15 @@
     are preserved even though no real multicore is present.
 
     The same machinery doubles as a deterministic concurrency tester:
-    running a workload under different seeds (schedule jitter) explores
-    many interleavings reproducibly, and a controlled [~scheduler] turns
-    the simulator into a systematic concurrency tester.
+    a controlled [~scheduler] turns the simulator into a systematic
+    concurrency tester, and the randomized SCT policies ([Ascy_sct]) are
+    its reproducible schedule fuzzing.
 
     Layering (see DESIGN.md): this module owns threads, continuations,
-    scheduling, faults and the counters/trace/observer plumbing; shared
-    types live in {!Simtypes} (re-exported here, so callers only ever
-    name [Sim]); everything line-state/latency-class-specific lives
-    behind {!Cohmodel.S}. *)
+    scheduling, faults, the counters and the one instrumentation hook
+    (the {!observer}); shared types live in {!Simtypes} (re-exported
+    here, so callers only ever name [Sim]); everything
+    line-state/latency-class-specific lives behind {!Cohmodel.S}. *)
 
 module P = Ascy_platform.Platform
 
@@ -102,7 +102,7 @@ type trace_class = Simtypes.trace_class =
   | Tc_mem
 
 type observer = Simtypes.observer = {
-  obs_access : int -> access_kind -> int -> unit;
+  obs_access : int -> access_kind -> int -> trace_class -> unit;
   obs_rmw : int -> bool -> unit;
   obs_event : int -> int -> unit;
   obs_op_start : int -> int -> unit;
@@ -147,25 +147,6 @@ type thread = {
   mutable stalled_until : int; (* not runnable until this decision count *)
 }
 
-type trace_event =
-  | T_op_start of int  (** harness-assigned operation code *)
-  | T_op_end of int
-  | T_access of access_kind * int * trace_class  (** kind, line id, service class *)
-
-type trace_entry = { tr_cycle : int; tr_ev : trace_event }
-
-(* Fixed-capacity ring: the newest [cap] entries survive; older ones are
-   overwritten ([total] still counts every event ever pushed). *)
-type trace_buf = {
-  tr_cap : int;
-  tr_buf : trace_entry array;
-  mutable tr_n : int; (* live entries, <= cap *)
-  mutable tr_next : int; (* slot the next push writes *)
-  mutable tr_total : int;
-}
-
-let dummy_trace_entry = { tr_cycle = 0; tr_ev = T_op_start 0 }
-
 (* In-flight best-effort transaction of the currently-running simulated
    thread (the simulator is cooperative, so one slot suffices). *)
 type txn_state = {
@@ -179,8 +160,6 @@ type txn_state = {
 type t = {
   plat : P.t;
   nthreads : int;
-  jitter : int;
-  rng : Ascy_util.Xorshift.t;
   threads : thread array;
   coh_spec : model;
   coh : Cohmodel.inst; (* all line/tag state lives in here *)
@@ -190,9 +169,9 @@ type t = {
   mutable cur : int; (* currently-executing simulated thread, or -1 *)
   mutable live : int;
   mutable txn : txn_state option;
-  mutable observer : observer option; (* analysis hook; None = zero cost *)
-  tracing : bool; (* cheap flag checked on the access hot path *)
-  trace : trace_buf array; (* per-thread rings; empty array when off *)
+  mutable observer : observer option; (* instrumentation hook; None = zero cost *)
+  mutable last_class : trace_class; (* service class of the last priced access *)
+  mutable kcas_class : trace_class array; (* per-line classes of the last k-CAS commit *)
   (* fault-injection state; inert (any_fault = false) unless run is
      given a fault plan, so default paths stay byte-identical *)
   mutable any_fault : bool;
@@ -207,8 +186,7 @@ type t = {
   pending_msgs : msg_fault list array; (* per-thread FIFO of F_msg tokens *)
 }
 
-let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_model)
-    ~platform ~nthreads () =
+let create ?(model = default_model) ~platform ~nthreads () =
   if nthreads < 1 || nthreads > P.hw_threads platform then
     invalid_arg
       (Printf.sprintf "Sim.create: nthreads %d out of range 1..%d for %s" nthreads
@@ -238,8 +216,6 @@ let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_mo
   {
     plat = platform;
     nthreads;
-    jitter;
-    rng = Ascy_util.Xorshift.create seed;
     threads;
     coh_spec = model;
     coh = Cohmodel.instantiate model ~platform;
@@ -250,6 +226,8 @@ let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_mo
     live = 0;
     txn = None;
     observer = None;
+    last_class = Tc_l1;
+    kcas_class = [||];
     any_fault = false;
     decisions = 0;
     runnable = { Simtypes.rn = 0; r_tids = [||]; r_acts = [||] };
@@ -260,18 +238,6 @@ let create ?(seed = 42) ?(jitter = 0) ?(trace_capacity = 0) ?(model = default_mo
     slow_factor = Array.make platform.P.sockets 1.0;
     slow_until = Array.make platform.P.sockets 0;
     pending_msgs = Array.make nthreads [];
-    tracing = trace_capacity > 0;
-    trace =
-      (if trace_capacity > 0 then
-         Array.init nthreads (fun _ ->
-             {
-               tr_cap = trace_capacity;
-               tr_buf = Array.make trace_capacity dummy_trace_entry;
-               tr_n = 0;
-               tr_next = 0;
-               tr_total = 0;
-             })
-       else [||]);
   }
 
 (** The coherence model [sim] was created with. *)
@@ -303,30 +269,18 @@ let new_line_id sim =
 
 let em = P.energy_model
 
-(* Append one event to [tid]'s trace ring (caller checks [sim.tracing]). *)
-let trace_push sim tid cycle ev =
-  let b = sim.trace.(tid) in
-  b.tr_buf.(b.tr_next) <- { tr_cycle = cycle; tr_ev = ev };
-  b.tr_next <- (b.tr_next + 1) mod b.tr_cap;
-  if b.tr_n < b.tr_cap then b.tr_n <- b.tr_n + 1;
-  b.tr_total <- b.tr_total + 1
-
-(* Charge and account one memory access; returns its latency in cycles.
-   The core charges the model-independent parts (access/store counts,
-   observer notification, instruction overhead and its energy, NUMA
-   fault scaling, trace, jitter); the installed coherence model charges
-   the service class, its energy, any atomic surcharge, and mutates its
-   own line state.  [~notify:false] suppresses only the observer
-   callback: a k-CAS commit charges its lines here but reports each
-   access/outcome pair itself, in order, from the commit code. *)
-let access_cost ?(notify = true) sim th kind line =
+(* Charge and account one memory access; returns its latency in cycles
+   and leaves its service class in [sim.last_class].  The core charges
+   the model-independent parts (access/store counts, instruction
+   overhead and its energy, NUMA fault scaling); the installed coherence
+   model charges the service class, its energy, any atomic surcharge,
+   and mutates its own line state.  The caller notifies the observer. *)
+let access_cost sim th kind line =
   let p = sim.plat in
   let s = th.socket in
   let cnt = sim.counters.(th.tid) in
   cnt.accesses <- cnt.accesses + 1;
   (match kind with Write -> cnt.writes <- cnt.writes + 1 | Read | Rmw -> ());
-  (if notify then
-     match sim.observer with Some o -> o.obs_access th.tid kind line | None -> ());
   let (Cohmodel.Inst ((module C), cm)) = sim.coh in
   let lat, tcls = C.access cm cnt ~core:th.core ~socket:s kind line in
   (* transient NUMA degradation: scale the memory latency (not the
@@ -338,9 +292,8 @@ let access_cost ?(notify = true) sim th kind line =
   in
   let instr = int_of_float (float_of_int p.P.c_instr *. th.instr_scale) in
   cnt.energy_nj <- cnt.energy_nj +. em.P.nj_instr;
-  if sim.tracing then trace_push sim th.tid th.clock (T_access (kind, line, tcls));
-  let j = if sim.jitter > 0 then Ascy_util.Xorshift.below sim.rng (sim.jitter + 1) else 0 in
-  lat + instr + j
+  sim.last_class <- tcls;
+  lat + instr
 
 (* ------------------------------------------------------------------ *)
 (* Effects & the MEMORY instance                                       *)
@@ -354,14 +307,27 @@ type _ Effect.t +=
         (** a decision or commit taken at a yield point raised *)
 
 (* Commit [th]'s pending step [act]: charge its latency to [th]'s clock.
+   The observer hears a priced access before the clock moves past it.
    Every touched line of a k-CAS commit pays its own RMW coherence cost
-   under the installed model; the observer hears each access/outcome
-   pair from the commit code instead, which knows the outcome. *)
+   under the installed model, and its class is saved in
+   [sim.kcas_class]: the observer hears each access/outcome pair from
+   the k-CAS code instead, which knows the outcome. *)
 let commit sim th = function
-  | A_access (kind, line) -> th.clock <- th.clock + access_cost sim th kind line
+  | A_access (kind, line) ->
+      let lat = access_cost sim th kind line in
+      (match sim.observer with
+      | Some o -> o.obs_access th.tid kind line sim.last_class
+      | None -> ());
+      th.clock <- th.clock + lat
   | A_work n -> th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale)
   | A_kcas lines ->
-      Array.iter (fun line -> th.clock <- th.clock + access_cost ~notify:false sim th Rmw line) lines
+      if Array.length sim.kcas_class < Array.length lines then
+        sim.kcas_class <- Array.make (Array.length lines) Tc_l1;
+      Array.iteri
+        (fun i line ->
+          th.clock <- th.clock + access_cost sim th Rmw line;
+          sim.kcas_class.(i) <- sim.last_class)
+        lines
   | A_start -> ()
 
 (* One decision: list the runnable threads (live, not crashed, not
@@ -462,8 +428,9 @@ let the_sim () =
   | Some sim -> sim
   | None -> failwith "Sim: no simulation installed (use Sim.with_sim)"
 
-(** Install (or clear) the analysis {!observer} of [sim].  The hook costs
-    one option test per access when unset. *)
+(** Install (or clear) the {!observer} of [sim].  The hook costs one
+    option test per access when unset.  [Ascy_harness.Engine] is its one
+    installer: a session's [config.observer] is what gets installed. *)
 let set_observer sim obs = sim.observer <- obs
 
 (* Report an RMW outcome to the observer.  Called after the [Rmw] access
@@ -601,9 +568,9 @@ module Mem : Memory.S with type line = int = struct
                 let ok = kdx_apply ops in
                 (match sim.observer with
                 | Some o ->
-                    Array.iter
-                      (fun line ->
-                        o.obs_access sim.cur Rmw line;
+                    Array.iteri
+                      (fun i line ->
+                        o.obs_access sim.cur Rmw line sim.kcas_class.(i);
                         o.obs_rmw sim.cur ok)
                       lines
                 | None -> ());
@@ -673,9 +640,9 @@ end
 exception Thread_failure of int * exn * string
 
 (** [run ?scheduler sim bodies] runs one simulated thread per element of
-    [bodies] (length must equal [nthreads]) to completion.  Deterministic
-    for a given seed.  Returns the largest thread clock (the makespan, in
-    cycles).
+    [bodies] (length must equal [nthreads]) to completion,
+    deterministically.  Returns the largest thread clock (the makespan,
+    in cycles).
 
     Every decision lists the {!runnable} set (live, not crashed, not
     stalled; ascending tid), asks a chooser which thread to resume and
@@ -684,11 +651,10 @@ exception Thread_failure of int * exn * string
     [Ascy_sct]): the callback sees each runnable thread's next {!action}
     and must return one of the listed tids.  Without [scheduler] the
     chooser is the clock: the runnable thread with the smallest
-    [(clock, tid)] is resumed — the free-running hardware model, with
-    optional jitter folded into access costs.  The [runnable] record
-    passed to the callback is {e reused} across decisions — the
-    per-decision hot path allocates nothing — so schedulers must copy
-    anything they retain past the callback.
+    [(clock, tid)] is resumed — the free-running hardware model.  The
+    [runnable] record passed to the callback is {e reused} across
+    decisions — the per-decision hot path allocates nothing — so
+    schedulers must copy anything they retain past the callback.
 
     A thread's first step and the step after a thread finishes are
     decided in the run's loop.  Every other decision falls at a yield
@@ -913,11 +879,11 @@ let warm sim =
   let (Cohmodel.Inst ((module C), cm)) = sim.coh in
   C.warm cm ~nlines:sim.nlines
 
-(** [with_sim ?seed ?jitter ?model ~platform ~nthreads f] installs a
-    fresh simulation, runs [f sim] (which typically builds a structure
-    through {!Mem} and then calls {!run}), and uninstalls it. *)
-let with_sim ?seed ?jitter ?trace_capacity ?model ~platform ~nthreads f =
-  let sim = create ?seed ?jitter ?trace_capacity ?model ~platform ~nthreads () in
+(** [with_sim ?model ~platform ~nthreads f] installs a fresh
+    simulation, runs [f sim] (which typically builds a structure through
+    {!Mem} and then calls {!run}), and uninstalls it. *)
+let with_sim ?model ~platform ~nthreads f =
+  let sim = create ?model ~platform ~nthreads () in
   let saved = !(current ()) in
   current () := Some sim;
   Fun.protect ~finally:(fun () -> current () := saved) (fun () -> f sim)
@@ -944,110 +910,21 @@ let poll_msg_fault () =
           Some m)
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Tracing front-end                                                   *)
-(* ------------------------------------------------------------------ *)
+(* Operation brackets: the harness marks each operation's start and
+   end, and the observer hears them (a profiler groups accesses by
+   operation, a trace ring records them).  No-ops unless a simulated
+   thread is executing. *)
+let notify_op f code =
+  match !(current ()) with
+  | Some sim when sim.cur >= 0 -> (
+      match sim.observer with Some o -> f o sim.cur code | None -> ())
+  | _ -> ()
 
-(** Per-thread trace ring buffers.  Enabled by passing [~trace_capacity]
-    (entries retained per thread) to {!create} / {!with_sim}; when off
-    — the default — the only cost on the access path is one boolean
-    test.  The simulator records every memory access with the coherence
-    path that served it; the harness brackets operations with
-    {!Trace.op_start} / {!Trace.op_end}. *)
-module Trace = struct
-  type event = trace_event =
-    | T_op_start of int
-    | T_op_end of int
-    | T_access of access_kind * int * trace_class
+(** Mark the start of harness operation [code] on the executing thread. *)
+let op_start code = notify_op (fun o tid code -> o.obs_op_start tid code) code
 
-  type entry = trace_entry = { tr_cycle : int; tr_ev : trace_event }
-
-  let class_name = Simtypes.trace_class_name
-
-  let enabled sim = sim.tracing
-
-  (* Marks are no-ops unless a traced simulation is installed and a
-     simulated thread is executing. *)
-  let mark ev =
-    match !(current ()) with
-    | Some sim when sim.tracing && sim.cur >= 0 ->
-        trace_push sim sim.cur sim.threads.(sim.cur).clock ev
-    | _ -> ()
-
-  (* Op brackets also notify the installed observer, whether or not the
-     rings are on: profiling must not require (or pay for) full traces. *)
-  let notify_op f code =
-    match !(current ()) with
-    | Some sim when sim.cur >= 0 -> (
-        match sim.observer with Some o -> f o sim.cur code | None -> ())
-    | _ -> ()
-
-  let op_start code =
-    notify_op (fun o tid code -> o.obs_op_start tid code) code;
-    mark (T_op_start code)
-
-  let op_end code =
-    notify_op (fun o tid code -> o.obs_op_end tid code) code;
-    mark (T_op_end code)
-
-  (** Events ever pushed to [tid]'s ring (retained or overwritten). *)
-  let total sim tid = if sim.tracing then sim.trace.(tid).tr_total else 0
-
-  (** Retained entries of [tid], oldest first. *)
-  let entries sim tid =
-    if not sim.tracing then []
-    else begin
-      let b = sim.trace.(tid) in
-      let start = (b.tr_next - b.tr_n + b.tr_cap) mod b.tr_cap in
-      List.init b.tr_n (fun i -> b.tr_buf.((start + i) mod b.tr_cap))
-    end
-
-  let kind_name = function Read -> "R" | Write -> "W" | Rmw -> "RMW"
-
-  let pp_entry ?(op_name = string_of_int) tid e =
-    match e.tr_ev with
-    | T_op_start code -> Printf.sprintf "t%-3d @%-10d op_start %s" tid e.tr_cycle (op_name code)
-    | T_op_end code -> Printf.sprintf "t%-3d @%-10d op_end   %s" tid e.tr_cycle (op_name code)
-    | T_access (kind, line, cls) ->
-        Printf.sprintf "t%-3d @%-10d %-3s line=%-6d %s" tid e.tr_cycle (kind_name kind) line
-          (class_name cls)
-
-  let entry_json tid e =
-    let module J = Ascy_util.Json in
-    let common = [ ("tid", J.Int tid); ("cycle", J.Int e.tr_cycle) ] in
-    J.Obj
-      (match e.tr_ev with
-      | T_op_start code -> common @ [ ("ev", J.String "op_start"); ("op", J.Int code) ]
-      | T_op_end code -> common @ [ ("ev", J.String "op_end"); ("op", J.Int code) ]
-      | T_access (kind, line, cls) ->
-          common
-          @ [
-              ("ev", J.String "access");
-              ("kind", J.String (kind_name kind));
-              ("line", J.Int line);
-              ("class", J.String (class_name cls));
-            ])
-
-  (** [dump ?json ?op_name oc sim] renders every thread's retained
-      entries, oldest first per thread.  Text (default) is one line per
-      event; [~json:true] emits one JSON array of event objects. *)
-  let dump ?(json = false) ?op_name oc sim =
-    if json then begin
-      let entries_json =
-        List.concat
-          (List.init (Array.length sim.trace) (fun tid ->
-               List.map (entry_json tid) (entries sim tid)))
-      in
-      output_string oc (Ascy_util.Json.to_string ~indent:1 (Ascy_util.Json.List entries_json));
-      output_string oc "\n"
-    end
-    else
-      Array.iteri
-        (fun tid b ->
-          Printf.fprintf oc "-- thread %d: %d events (%d retained)\n" tid b.tr_total b.tr_n;
-          List.iter (fun e -> Printf.fprintf oc "%s\n" (pp_entry ?op_name tid e)) (entries sim tid))
-        sim.trace
-end
+(** Mark the end of harness operation [code] on the executing thread. *)
+let op_end code = notify_op (fun o tid code -> o.obs_op_end tid code) code
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
@@ -1073,8 +950,7 @@ type run_stats = {
 (** One thread's memory-event counters (the per-thread slice of
     {!run_stats}): every coherence service class — the [Tc_*] trace
     classes — plus plain stores and RMWs, accumulated unconditionally, so
-    stores-per-op and cache-line-transfer breakdowns never require the
-    trace rings. *)
+    stores-per-op and cache-line-transfer breakdowns need no observer. *)
 type thread_stats = {
   t_tid : int;
   t_accesses : int;

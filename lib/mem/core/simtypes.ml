@@ -1,6 +1,6 @@
 (** Types shared between the simulator core ({!Sim}), the pluggable
     coherence models ({!Cohmodel} and its implementations) and the
-    counters/trace/observer layer.
+    counters/observer layer.
 
     This module is the bottom of the layered runtime: it contains no
     behavior beyond trivial constructors and predicates, so every layer
@@ -182,27 +182,31 @@ let trace_class_name = function
 (* Observers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** An observer over the committed access/event stream of a run, for
-    analysis passes (per-operation profiling, happens-before race
-    detection) that need every access but must not depend on the
-    off-by-default trace rings.  All callbacks fire only for simulated
-    threads (never during setup/prefill, where accesses are free) and in
-    commit order — [obs_access] at the moment the scheduler charges the
-    access, which is when its memory effect takes place.
+(** An observer over the committed access/event stream of a run: the
+    one instrumentation hook of the simulator.  Analysis passes
+    (per-operation profiling, happens-before race detection) and the
+    per-thread trace rings are all observers.  All callbacks fire only
+    for simulated threads (never during setup/prefill, where accesses
+    are free) and in commit order — [obs_access] once the scheduler has
+    charged the access and the coherence model has priced it, which is
+    when its memory effect takes place.
 
-    - [obs_access tid kind line]: one committed access;
+    - [obs_access tid kind line cls]: one committed access, served
+      through coherence path [cls];
     - [obs_rmw tid success]: outcome of the RMW ([cas] success or
       [fetch_and_add], which always succeeds) whose [Rmw] access was just
       reported for [tid];
     - [obs_event tid code]: an {!Event} emission;
     - [obs_op_start tid code] / [obs_op_end tid code]: the harness
-      operation brackets ([Trace.op_start] / [Trace.op_end]), delivered
-      even when tracing is off.
+      operation brackets ([Sim.op_start] / [Sim.op_end]).
 
+    A k-CAS commit is reported after its writes apply: one
+    ([Rmw] access, outcome) pair per touched line, in line order, each
+    access carrying the class its line was charged at the commit.
     Transactional ([txn]) accesses are buffered, not committed
     individually, and are not reported. *)
 type observer = {
-  obs_access : int -> access_kind -> int -> unit;
+  obs_access : int -> access_kind -> int -> trace_class -> unit;
   obs_rmw : int -> bool -> unit;
   obs_event : int -> int -> unit;
   obs_op_start : int -> int -> unit;
@@ -210,11 +214,15 @@ type observer = {
 }
 
 (** Fan one access stream out to two observers, [a] first.  Lets the
-    harness attach a race detector and a profiler (or any other pair)
-    to the same run without the simulator knowing about either. *)
+    harness attach a race detector, a profiler and a trace ring (or any
+    other combination) to the same run without the simulator knowing
+    about any of them. *)
 let compose_observers a b =
   {
-    obs_access = (fun tid kind line -> a.obs_access tid kind line; b.obs_access tid kind line);
+    obs_access =
+      (fun tid kind line cls ->
+        a.obs_access tid kind line cls;
+        b.obs_access tid kind line cls);
     obs_rmw = (fun tid ok -> a.obs_rmw tid ok; b.obs_rmw tid ok);
     obs_event = (fun tid code -> a.obs_event tid code; b.obs_event tid code);
     obs_op_start = (fun tid code -> a.obs_op_start tid code; b.obs_op_start tid code);

@@ -1,7 +1,7 @@
 (** The pluggable cache-coherence cost model contract.
 
     The simulator core ({!Sim}) owns threads, continuations, scheduling,
-    faults and the counters/trace/observer layer; everything that
+    faults and the counters/observer layer; everything that
     depends on {e where a cache line lives} — latency classes, line
     state, private/LLC tag arrays, energy per service class — lives
     behind this signature.  Two implementations ship, registered under
@@ -23,13 +23,14 @@
     Contract details a conforming model must honor:
 
     - [access] is called once per committed non-transactional access,
-      {e after} the core has charged [accesses]/[writes] and notified
-      the observer.  The model updates the service-class counters
+      {e after} the core has charged [accesses]/[writes] and {e before}
+      it notifies the observer, which hears the service class the model
+      returns.  The model updates the service-class counters
       ([l1]/[llc]/[c2c_*]/[llc_remote]/[mem]), [rmw] (for [Rmw]
       accesses) and the class-dependent [energy_nj] of [cnt], mutates
       its own line/tag state, and returns the access latency in cycles
-      (including any atomic-op surcharge) plus the service class for
-      the trace ring.  It must not touch [accesses], [writes] or the
+      (including any atomic-op surcharge) plus the service class the
+      observer is told.  It must not touch [accesses], [writes] or the
       per-instruction energy — the core owns those.
     - [on_new_line] is called once per allocated line id, in order.
     - [txn_*] back the best-effort transaction path: [txn_conflict]

@@ -129,7 +129,7 @@ end
    mixed operations; afterwards we check conservation per key. *)
 let sim_stress (module Maker : Set_intf.MAKER) ~seed ~nthreads ~key_range ~ops ~updates () =
   let module M = Maker (Sim.Mem) in
-  Sim.with_sim ~seed ~jitter:3 ~platform:Ascy_platform.Platform.xeon20 ~nthreads (fun sim ->
+  Sim.with_sim ~platform:Ascy_platform.Platform.xeon20 ~nthreads (fun sim ->
       let t = M.create ~hint:key_range () in
       (* prefill half the range so removes succeed early *)
       for k = 0 to key_range - 1 do
@@ -176,7 +176,7 @@ let sim_stress (module Maker : Set_intf.MAKER) ~seed ~nthreads ~key_range ~ops ~
 let lin_stress (module Maker : Set_intf.MAKER) ~seed ~nthreads ~key_range ~ops ~updates () =
   let module M = Maker (Sim.Mem) in
   let module H = Ascy_harness.History in
-  Sim.with_sim ~seed ~jitter:3 ~platform:Ascy_platform.Platform.xeon20 ~nthreads (fun sim ->
+  Sim.with_sim ~platform:Ascy_platform.Platform.xeon20 ~nthreads (fun sim ->
       let t = M.create ~hint:key_range () in
       let h = H.create () in
       for k = 0 to key_range - 1 do

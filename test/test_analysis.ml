@@ -11,6 +11,10 @@
      data-race violation, and one lock-based algorithm per family
      survives a bounded exploration with the oracle armed.
 
+   Observers compose: a race detector, a profiler and a trace ring
+   attached to one session each hear every committed access, and the
+   ring's k-CAS entries carry the classes their commit charged.
+
    Conformance, golden observed vectors:
    - ll-harris fails ASCY1-2 for the declared reason (restarting,
      cleaning searches; restarting parses) and passes 3-4;
@@ -21,6 +25,9 @@ module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 module Race = Ascy_analysis.Race
+module Profile = Ascy_analysis.Profile
+module Trace = Ascy_analysis.Trace
+module Engine = Ascy_harness.Engine
 module Check = Ascy_harness.Ascy_check
 module Registry = Ascylib.Registry
 module Sct = Ascy_harness.Sct_run
@@ -29,7 +36,7 @@ module Explorer = Ascy_sct.Explorer
 (* Run [body] (per-tid thunks) under the simulator with the race
    detector installed; return the distinct-race count. *)
 let races_of ~nthreads body =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads (fun sim ->
       let setup = body () in
       Sim.warm sim;
       let d = Race.create ~nthreads in
@@ -182,6 +189,153 @@ let race_free name () =
       Alcotest.fail (Printf.sprintf "%s violated under race oracle: %s" name f.Sct.min_violation)
 
 (* ------------------------------------------------------------------ *)
+(* Observer fan-out                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [o], counting the accesses it hears into [n]. *)
+let counting n (o : Sim.observer) =
+  { o with Sim.obs_access = (fun tid kind line cls -> incr n; o.Sim.obs_access tid kind line cls) }
+
+let ring_accesses ring tid =
+  List.filter_map
+    (fun (e : Trace.entry) ->
+      match e.Trace.tr_ev with
+      | Trace.T_access (kind, line, cls) -> Some (e.Trace.tr_cycle, kind, line, cls)
+      | Trace.T_op_start _ | Trace.T_op_end _ -> None)
+    (Trace.entries ring tid)
+
+(* Three threads of ll-pathcas, whose updates commit by k-CAS, under one
+   session observed by a race detector, a profiler and a trace ring at
+   once. *)
+let test_observers_fan_out () =
+  let nthreads = 3 in
+  let race = Race.create ~nthreads
+  and prof = Profile.create ~nthreads
+  and ring = Trace.create ~nthreads ~capacity:100_000 in
+  let heard = Array.init 3 (fun _ -> ref 0) in
+  let observer =
+    Sim.compose_observers
+      (counting heard.(0) (Race.observer race))
+      (Sim.compose_observers
+         (counting heard.(1) (Profile.observer prof))
+         (counting heard.(2) (Trace.observer ring)))
+  in
+  let module A = (val (Registry.by_name "ll-pathcas").Registry.maker : Ascy_core.Set_intf.MAKER) in
+  let module M = A (Mem) in
+  Engine.with_session
+    { (Engine.default ~platform:P.xeon20 ~nthreads) with observer = Some observer }
+    (fun session ->
+      let sim = session.Engine.sim in
+      let t = M.create ~hint:32 () in
+      for k = 0 to 15 do
+        ignore (M.insert t (2 * k) 0)
+      done;
+      Sim.warm sim;
+      let body tid () =
+        let rng = Ascy_util.Xorshift.create (tid + 5) in
+        for _ = 1 to 40 do
+          let k = Ascy_util.Xorshift.below rng 32 in
+          let op = Ascy_util.Xorshift.below rng 3 in
+          Sim.op_start op;
+          let ok =
+            match op with
+            | 0 -> M.search t k <> None
+            | 1 -> M.insert t k tid
+            | _ -> M.remove t k
+          in
+          Profile.set_outcome prof ~tid ~ok;
+          Sim.op_end op;
+          M.op_done t
+        done
+      in
+      let makespan = Engine.run session (Array.init nthreads body) in
+      let st = Sim.stats sim ~makespan in
+      Array.iteri
+        (fun i n ->
+          Alcotest.(check int) (Printf.sprintf "observer %d hears every access" i) st.Sim.accesses !n)
+        heard;
+      Alcotest.(check int) "ring records every access" st.Sim.accesses
+        (List.fold_left (fun acc tid -> acc + List.length (ring_accesses ring tid)) 0 [ 0; 1; 2 ]);
+      (* the profiler attributes the accesses inside operation brackets
+         (not [op_done]'s reclamation), which the ring shows too *)
+      let in_ops tid =
+        fst
+          (List.fold_left
+             (fun (n, inside) (e : Trace.entry) ->
+               match e.Trace.tr_ev with
+               | Trace.T_op_start _ -> (n, true)
+               | Trace.T_op_end _ -> (n, false)
+               | Trace.T_access _ -> ((if inside then n + 1 else n), inside))
+             (0, false) (Trace.entries ring tid))
+      in
+      Alcotest.(check int) "profiler attributes every access inside an operation"
+        (in_ops 0 + in_ops 1 + in_ops 2)
+        (List.fold_left
+           (fun acc (p : Profile.op_profile) ->
+             let n (c : Profile.counts) = c.Profile.reads + c.writes + c.rmw_ok + c.rmw_fail in
+             acc + n p.Profile.p_parse + n p.Profile.p_modify)
+           0 (Profile.ops prof));
+      Alcotest.(check (option string)) "no race" None (Race.violation race);
+      (* every access, k-CAS lines included, carries the class the model
+         charged it: the ring's per-class counts are the counters' *)
+      Array.iter
+        (fun (ts : Sim.thread_stats) ->
+          let count c =
+            List.length
+              (List.filter (fun (_, _, _, cls) -> cls = c) (ring_accesses ring ts.Sim.t_tid))
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "t%d l1/llc/c2c_local/c2c_remote/llc_remote/mem" ts.Sim.t_tid)
+            [ ts.t_l1; ts.t_llc; ts.t_c2c_local; ts.t_c2c_remote; ts.t_llc_remote; ts.t_mem ]
+            (List.map count
+               Sim.[ Tc_l1; Tc_llc; Tc_c2c_local; Tc_c2c_remote; Tc_llc_remote; Tc_mem ]))
+        (Sim.per_thread_stats sim);
+      (* the lines of one k-CAS are reported together, all stamped with
+         the clock after the commit: the run did commit some *)
+      let rec kcas_pairs = function
+        | (c1, Sim.Rmw, _, _) :: ((c2, Sim.Rmw, _, _) :: _ as tl) ->
+            (if c1 = c2 then 1 else 0) + kcas_pairs tl
+        | _ :: tl -> kcas_pairs tl
+        | [] -> 0
+      in
+      Alcotest.(check bool) "k-CAS commits recorded" true
+        (List.exists (fun tid -> kcas_pairs (ring_accesses ring tid) > 0) [ 0; 1; 2 ]))
+
+(* A 2-word k-CAS whose lines are served differently: [a] is dirty in
+   thread 0's cache, [b] in the committing thread's own.  The ring lists
+   the lines in commit (ascending line) order, each with its own class. *)
+let test_kcas_classes_in_commit_order () =
+  let ring = Trace.create ~nthreads:2 ~capacity:64 in
+  Engine.with_session
+    {
+      (Engine.default ~platform:P.xeon20 ~nthreads:2) with
+      observer = Some (Trace.observer ring);
+    }
+    (fun session ->
+      let a = Mem.make_fresh 0 and b = Mem.make_fresh 0 in
+      let body tid () =
+        if tid = 0 then Mem.set a 1
+        else begin
+          Mem.set b 1;
+          (* let thread 0's store land first *)
+          Mem.work 10_000;
+          ignore
+            (Mem.kcas
+               [ Mem.kcas_op b ~expected:1 ~desired:2; Mem.kcas_op a ~expected:1 ~desired:2 ])
+        end
+      in
+      ignore (Engine.run session (Array.init 2 body));
+      Alcotest.(check int) "k-CAS applied" 2 (Mem.get a + Mem.get b - 2);
+      Alcotest.(check (list string)) "thread 1's k-CAS lines, in order"
+        [ "RMW line=0 c2c_local"; "RMW line=1 l1" ]
+        (List.filter_map
+           (fun (_, kind, line, cls) ->
+             match kind with
+             | Sim.Rmw -> Some (Printf.sprintf "RMW line=%d %s" line (Trace.class_name cls))
+             | Sim.Read | Sim.Write -> None)
+           (ring_accesses ring 1)))
+
+(* ------------------------------------------------------------------ *)
 (* Conformance goldens                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -227,6 +381,10 @@ let suite =
     Alcotest.test_case "race: seqlock-ordered clean" `Quick test_seqlock_ordered_clean;
     Alcotest.test_case "race: write vs read exempt" `Quick test_write_read_not_flagged;
     Alcotest.test_case "race+sct: async list rejected" `Quick test_sct_flags_async_list;
+    Alcotest.test_case "observers: race, profile and trace hear every access" `Quick
+      test_observers_fan_out;
+    Alcotest.test_case "observers: k-CAS classes in commit order" `Quick
+      test_kcas_classes_in_commit_order;
     Alcotest.test_case "race+sct: ll-lazy race-free" `Slow (race_free "ll-lazy");
     Alcotest.test_case "race+sct: ht-clht-lb race-free" `Slow (race_free "ht-clht-lb");
     Alcotest.test_case "race+sct: sl-herlihy race-free" `Slow (race_free "sl-herlihy");

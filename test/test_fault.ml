@@ -33,7 +33,7 @@ let stall ~at ~decisions tid = { Sim.fe_at = at; fe_tid = tid; fe_fault = Sim.F_
 
 (* A crash-stopped thread never runs again; the survivors finish. *)
 let test_crash_stops_thread () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:3 (fun sim ->
       let prog = Array.make 3 0 in
       let body tid () =
         for i = 1 to 30 do
@@ -50,7 +50,7 @@ let test_crash_stops_thread () =
 
 (* A stalled thread resumes after its window and still finishes last. *)
 let test_stall_delays_thread () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let order = ref [] in
       let body tid () =
         for _ = 1 to 20 do
@@ -65,7 +65,7 @@ let test_stall_delays_thread () =
 (* When every live thread is stalled the decision counter fast-forwards
    to the earliest expiry instead of spinning. *)
 let test_all_stalled_fast_forward () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let done_ = Array.make 2 false in
       let body tid () =
         for _ = 1 to 5 do
@@ -87,7 +87,7 @@ let test_all_stalled_fast_forward () =
    scheduler insists on tid 1 until it finishes, so skipping the stall
    would let the whole run complete without an error. *)
 let test_scheduler_cannot_resume_stalled () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let done_ = Array.make 2 false in
       let body tid () =
         for _ = 1 to 5 do
@@ -110,7 +110,7 @@ let test_scheduler_cannot_resume_stalled () =
 (* Transient NUMA slowdown: same schedule shape, strictly larger makespan. *)
 let test_numa_slow_costs () =
   let run faults =
-    Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
         let cell = SMem.make_fresh 0 in
         let body _ () =
           for _ = 1 to 40 do
@@ -128,7 +128,7 @@ let test_numa_slow_costs () =
     true (slow > base)
 
 let test_fault_unknown_target_rejected () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let body _ () = SMem.work 1 in
       let raised =
         try
@@ -152,7 +152,7 @@ exception Wedged of int * (int * string) list
 let lock_holder_crash ?(expect_line = true) ~name ~mk ~acquire ~release () =
   let nthreads = 3 and victim = 0 and watchdog = 1_500 in
   let run ~faults ~cand =
-    Sim.with_sim ~seed:1 ~platform:P.xeon20 ~nthreads (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads (fun sim ->
         let line = SMem.new_line () in
         let lock = mk line in
         let holding = ref false in
@@ -275,7 +275,7 @@ module Ssmem_s = Ascy_ssmem.Ssmem.Make (SMem)
 let test_ssmem_crashed_thread_pins_garbage () =
   (* [after] runs inside the simulation context (collect emits events) *)
   let run ~faults ~cand ~after =
-    Sim.with_sim ~seed:1 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
         let t = Test_ssmem.create_with_threshold 4 () in
         let quiesced = ref false in
         let decisions = ref 0 in

@@ -134,7 +134,7 @@ let test_ascy2_observable () =
 let test_ascy3_observable () =
   let module A = (val maker "ht-lazy") in
   let count_locks rof =
-    Ascy_mem.Sim.with_sim ~seed:5 ~platform:P.xeon20 ~nthreads:4 (fun sim ->
+    Ascy_mem.Sim.with_sim ~platform:P.xeon20 ~nthreads:4 (fun sim ->
         let module M = A (Ascy_mem.Sim.Mem) in
         let t = M.create ~hint:64 ~read_only_fail:rof () in
         for k = 1 to 64 do
@@ -186,7 +186,7 @@ let test_async_upper_bound () =
 
 (* Simulated transactions: commit applies writes; conflicts roll back. *)
 let test_txn_commit_and_abort () =
-  Ascy_mem.Sim.with_sim ~seed:9 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Ascy_mem.Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let module M = Ascy_mem.Sim.Mem in
       let a = M.make_fresh 0 and b = M.make_fresh 0 in
       let committed = ref 0 and aborted = ref 0 in
@@ -311,38 +311,39 @@ let test_history_catches_seeded_mutation () =
 (* ------------------------------------------------------------------ *)
 
 module Sim = Ascy_mem.Sim
+module Trace = Ascy_analysis.Trace
+module Engine = Ascy_harness.Engine
+
+(* [f sim ring] inside an engine session whose observer is a fresh
+   trace ring of [capacity] entries per thread. *)
+let with_ring ~nthreads ~capacity f =
+  let ring = Trace.create ~nthreads ~capacity in
+  Engine.with_session
+    { (Engine.default ~platform:P.xeon20 ~nthreads) with observer = Some (Trace.observer ring) }
+    (fun session -> f session.Engine.sim ring)
 
 let test_trace_records_ops_and_accesses () =
-  let wl = W.make ~initial:32 ~update_pct:20 () in
-  let nthreads = 4 and ops = 25 in
-  let r =
-    R.run ~trace_capacity:100_000 (maker "ll-lazy") ~platform:P.xeon20 ~nthreads ~workload:wl
-      ~ops_per_thread:ops ()
-  in
-  ignore r;
-  (* with_sim uninstalls the sim, so re-run inside the scope to inspect *)
-  Sim.with_sim ~trace_capacity:4096 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
-      Alcotest.(check bool) "tracing enabled" true (Sim.Trace.enabled sim);
+  with_ring ~nthreads:2 ~capacity:4096 (fun sim ring ->
       let x = Sim.Mem.make_fresh 0 in
       let body tid () =
-        Sim.Trace.op_start 1;
+        Sim.op_start 1;
         for _ = 1 to 5 do
           Sim.Mem.set x (Sim.Mem.get x + tid)
         done;
-        Sim.Trace.op_end 1
+        Sim.op_end 1
       in
       ignore (Sim.run sim (Array.init 2 body));
       List.iter
         (fun tid ->
-          let entries = Sim.Trace.entries sim tid in
+          let entries = Trace.entries ring tid in
           Alcotest.(check bool) "has entries" true (List.length entries > 0);
           let starts, ends, accesses =
             List.fold_left
-              (fun (s, e, a) (en : Sim.Trace.entry) ->
-                match en.Sim.Trace.tr_ev with
-                | Sim.Trace.T_op_start _ -> (s + 1, e, a)
-                | Sim.Trace.T_op_end _ -> (s, e + 1, a)
-                | Sim.Trace.T_access _ -> (s, e, a + 1))
+              (fun (s, e, a) (en : Trace.entry) ->
+                match en.Trace.tr_ev with
+                | Trace.T_op_start _ -> (s + 1, e, a)
+                | Trace.T_op_end _ -> (s, e + 1, a)
+                | Trace.T_access _ -> (s, e, a + 1))
               (0, 0, 0) entries
           in
           Alcotest.(check int) "one op_start" 1 starts;
@@ -350,15 +351,15 @@ let test_trace_records_ops_and_accesses () =
           Alcotest.(check int) "10 traced accesses" 10 accesses;
           (* cycle stamps are nondecreasing within a thread *)
           let rec mono = function
-            | (a : Sim.Trace.entry) :: (b : Sim.Trace.entry) :: tl ->
-                a.Sim.Trace.tr_cycle <= b.Sim.Trace.tr_cycle && mono (b :: tl)
+            | (a : Trace.entry) :: (b : Trace.entry) :: tl ->
+                a.Trace.tr_cycle <= b.Trace.tr_cycle && mono (b :: tl)
             | _ -> true
           in
           Alcotest.(check bool) "cycles nondecreasing" true (mono entries))
         [ 0; 1 ])
 
 let test_trace_ring_wraps () =
-  Sim.with_sim ~trace_capacity:8 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  with_ring ~nthreads:1 ~capacity:8 (fun sim ring ->
       let x = Sim.Mem.make_fresh 0 in
       let body _ () =
         for _ = 1 to 50 do
@@ -366,20 +367,23 @@ let test_trace_ring_wraps () =
         done
       in
       ignore (Sim.run sim [| body 0 |]);
-      Alcotest.(check int) "ring keeps capacity entries" 8
-        (List.length (Sim.Trace.entries sim 0));
-      Alcotest.(check bool) "total counts everything" true (Sim.Trace.total sim 0 >= 100))
+      Alcotest.(check int) "ring keeps capacity entries" 8 (List.length (Trace.entries ring 0));
+      Alcotest.(check bool) "total counts everything" true (Trace.total ring 0 >= 100))
 
+(* A default session installs no observer, and a ring that is not
+   attached records nothing. *)
 let test_trace_off_by_default () =
-  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  let cfg = Engine.default ~platform:P.xeon20 ~nthreads:1 in
+  Alcotest.(check bool) "no observer by default" true (cfg.Engine.observer = None);
+  let ring = Trace.create ~nthreads:1 ~capacity:8 in
+  Engine.with_session cfg (fun session ->
       let x = Sim.Mem.make_fresh 0 in
-      ignore (Sim.run sim [| (fun () -> Sim.Mem.set x 1) |]);
-      Alcotest.(check bool) "tracing off" false (Sim.Trace.enabled sim);
-      Alcotest.(check int) "no entries" 0 (List.length (Sim.Trace.entries sim 0));
-      Alcotest.(check int) "no totals" 0 (Sim.Trace.total sim 0))
+      ignore (Engine.run session [| (fun () -> Sim.Mem.set x 1) |]));
+  Alcotest.(check int) "no entries" 0 (List.length (Trace.entries ring 0));
+  Alcotest.(check int) "no totals" 0 (Trace.total ring 0)
 
 let test_trace_dump_renders () =
-  Sim.with_sim ~trace_capacity:64 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  with_ring ~nthreads:1 ~capacity:64 (fun sim ring ->
       let x = Sim.Mem.make_fresh 0 in
       ignore (Sim.run sim [| (fun () -> Sim.Mem.set x 1) |]);
       let tmp = Filename.temp_file "ascy_trace" ".txt" in
@@ -387,7 +391,7 @@ let test_trace_dump_renders () =
         ~finally:(fun () -> Sys.remove tmp)
         (fun () ->
           let oc = open_out tmp in
-          Sim.Trace.dump oc sim;
+          Trace.dump oc ring;
           close_out oc;
           let ic = open_in tmp in
           let line = input_line ic in
@@ -395,7 +399,7 @@ let test_trace_dump_renders () =
           Alcotest.(check bool) "text header present" true
             (String.length line > 0 && String.sub line 0 2 = "--");
           let oc = open_out tmp in
-          Sim.Trace.dump ~json:true oc sim;
+          Trace.dump ~json:true oc ring;
           close_out oc;
           let ic = open_in tmp in
           let n = in_channel_length ic in
@@ -404,6 +408,51 @@ let test_trace_dump_renders () =
           match Ascy_util.Json.of_string (String.trim s) with
           | Ascy_util.Json.List (_ :: _) -> ()
           | _ -> Alcotest.fail "json dump is not a non-empty array"))
+
+(* The text dump of a fixed two-thread program without k-CAS, captured
+   from the trace rings as they were before they became an observer:
+   the same events, classes and cycle stamps, and a ring that wrapped
+   (12 events, 6 retained). *)
+let pinned_dump =
+  {|-- thread 0: 12 events (6 retained)
+t0   @428        op_start 2
+t0   @428        R   line=0      l1
+t0   @434        W   line=0      llc
+t0   @478        R   line=1      l1
+t0   @484        RMW line=1      l1
+t0   @512        op_end   2
+-- thread 1: 12 events (6 retained)
+t1   @388        op_start 2
+t1   @388        R   line=0      c2c_local
+t1   @452        W   line=0      c2c_local
+t1   @516        R   line=1      c2c_local
+t1   @580        RMW line=1      llc
+t1   @646        op_end   2
+|}
+
+let test_trace_dump_pinned () =
+  with_ring ~nthreads:2 ~capacity:6 (fun sim ring ->
+      let x = Sim.Mem.make_fresh 0 and y = Sim.Mem.make_fresh 0 in
+      let body tid () =
+        for op = 1 to 2 do
+          Sim.op_start op;
+          Sim.Mem.set x (Sim.Mem.get x + tid);
+          ignore (Sim.Mem.cas y (Sim.Mem.get y) op);
+          Sim.op_end op
+        done
+      in
+      ignore (Sim.run sim (Array.init 2 body));
+      let tmp = Filename.temp_file "ascy_trace" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove tmp)
+        (fun () ->
+          let oc = open_out tmp in
+          Trace.dump oc ring;
+          close_out oc;
+          let ic = open_in tmp in
+          let got = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Alcotest.(check string) "text dump" pinned_dump got))
 
 (* ------------------------------------------------------------------ *)
 (* Structured results: schema round-trip + golden file                 *)
@@ -542,6 +591,7 @@ let suite =
     Alcotest.test_case "trace: ring wraps at capacity" `Quick test_trace_ring_wraps;
     Alcotest.test_case "trace: off by default" `Quick test_trace_off_by_default;
     Alcotest.test_case "trace: dump renders text and json" `Quick test_trace_dump_renders;
+    Alcotest.test_case "trace: text dump pinned" `Quick test_trace_dump_pinned;
     Alcotest.test_case "results: schema round-trip" `Quick test_results_roundtrip;
     Alcotest.test_case "results: golden file" `Quick test_results_golden_file;
   ]

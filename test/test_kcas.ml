@@ -500,7 +500,7 @@ let test_native_reads_never_see_half_commit () =
 (* ------------------------------------------------------------------ *)
 
 let test_sim_semantics_and_accounting () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let a = SM.make_fresh 0 and b = SM.make_fresh 10 in
       let results = ref [] in
       let body () =
@@ -521,7 +521,7 @@ let test_sim_semantics_and_accounting () =
       Alcotest.(check int) "one rmw per line per commit attempt" 4 st.Sim.atomics)
 
 let test_sim_duplicate_rejected () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let failed = ref false in
       let body () =
         let a = SM.make_fresh 0 in
@@ -536,7 +536,7 @@ let test_sim_probe_atomicity () =
      k-CAS — itself atomic — can witness either state but never the
      forbidden mixed ones, no matter how the commit interleaves with
      the prober's loop *)
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let a = SM.make_fresh 0 and b = SM.make_fresh 0 in
       let mixed = ref 0 and consistent = ref 0 in
       let bodies =
@@ -563,7 +563,7 @@ let test_sim_probe_atomicity () =
       Alcotest.(check bool) "commit landed" true (SM.get a = 1 && SM.get b = 1))
 
 let test_sim_disjoint_and_overlapping () =
-  Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let a = SM.make_fresh 0 and b = SM.make_fresh 0 and c = SM.make_fresh 0 in
       let d = SM.make_fresh 0 and e = SM.make_fresh 0 in
       (* each thread owns a private cell and both bump the shared [b]:

@@ -5,10 +5,20 @@ module Sim = Ascy_mem.Sim
 module SMem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 
+(* Run [test sim scheduler] once per seed, each time in a fresh
+   simulation under a seeded uniformly random schedule: an adversary
+   that may preempt a thread at any access, reproducible per seed. *)
+let under_random_schedules ~nthreads test =
+  List.iter
+    (fun seed ->
+      Sim.with_sim ~platform:P.xeon20 ~nthreads (fun sim ->
+          test sim (Ascy_sct.Scheduler.uniform_chooser (Ascy_util.Xorshift.create seed))))
+    [ 1; 2; 3 ]
+
 (* Generic exclusion check: [n] threads increment a plain (non-atomic)
    cell under the lock; any mutual-exclusion violation loses updates. *)
 let sim_exclusion ~acquire ~release ~mk () =
-  Sim.with_sim ~seed:21 ~jitter:2 ~platform:P.xeon20 ~nthreads:6 (fun sim ->
+  under_random_schedules ~nthreads:6 (fun sim scheduler ->
       let lock = mk () in
       let cell = SMem.make_fresh 0 in
       let per = 300 in
@@ -21,7 +31,7 @@ let sim_exclusion ~acquire ~release ~mk () =
           release lock
         done
       in
-      ignore (Sim.run sim (Array.init 6 body));
+      ignore (Sim.run ~scheduler sim (Array.init 6 body));
       Alcotest.(check int) "no lost updates under lock" (6 * per) (SMem.get cell))
 
 module Ttas_s = Ascy_locks.Ttas.Make (SMem)
@@ -41,7 +51,7 @@ let test_rw_write_exclusion =
   sim_exclusion ~acquire:Rw_s.write_acquire ~release:Rw_s.write_release ~mk:Rw_s.create_fresh
 
 let test_ttas_try () =
-  Sim.with_sim ~seed:2 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let body () =
         let l = Ttas_s.create_fresh () in
         assert (Ttas_s.try_acquire l);
@@ -53,7 +63,7 @@ let test_ttas_try () =
 
 let test_ticket_fifo () =
   (* ticket lock must serve acquisitions in ticket order *)
-  Sim.with_sim ~seed:23 ~platform:P.xeon20 ~nthreads:4 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:4 (fun sim ->
       let l = Ticket_s.create_fresh () in
       let order = SMem.make_fresh [] in
       let body tid () =
@@ -67,7 +77,7 @@ let test_ticket_fifo () =
       Alcotest.(check int) "all sections ran" 200 (List.length (SMem.get order)))
 
 let test_ticket_versioning () =
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let body () =
         let l = Ticket_s.create_fresh () in
         let v = Ticket_s.version l in
@@ -84,7 +94,7 @@ let test_ticket_versioning () =
       ignore (Sim.run sim [| body |]))
 
 let test_rw_readers_parallel_writer_excluded () =
-  Sim.with_sim ~seed:31 ~jitter:1 ~platform:P.xeon20 ~nthreads:5 (fun sim ->
+  under_random_schedules ~nthreads:5 (fun sim scheduler ->
       let l = Rw_s.create_fresh () in
       let data = SMem.make_fresh 0 in
       let bad = SMem.make_fresh 0 in
@@ -104,11 +114,11 @@ let test_rw_readers_parallel_writer_excluded () =
             Rw_s.read_release l
           done
       in
-      ignore (Sim.run sim (Array.init 5 body));
+      ignore (Sim.run ~scheduler sim (Array.init 5 body));
       Alcotest.(check int) "readers never observe writer mid-flight" 0 (SMem.get bad))
 
 let test_seqlock_consistent_reads () =
-  Sim.with_sim ~seed:37 ~jitter:2 ~platform:P.xeon20 ~nthreads:4 (fun sim ->
+  under_random_schedules ~nthreads:4 (fun sim scheduler ->
       let l = Seq_s.create_fresh () in
       let a = SMem.make_fresh 0 and b = SMem.make_fresh 0 in
       let bad = SMem.make_fresh 0 in
@@ -127,12 +137,12 @@ let test_seqlock_consistent_reads () =
             if x <> y then SMem.set bad 1
           done
       in
-      ignore (Sim.run sim (Array.init 4 body));
+      ignore (Sim.run ~scheduler sim (Array.init 4 body));
       Alcotest.(check int) "seqlock reads are atomic" 0 (SMem.get bad))
 
 (* MCS queue lock: exclusion + FIFO handoff under adversarial schedules. *)
 let test_mcs_exclusion () =
-  Sim.with_sim ~seed:27 ~jitter:2 ~platform:P.xeon20 ~nthreads:6 (fun sim ->
+  under_random_schedules ~nthreads:6 (fun sim scheduler ->
       let lock = Mcs_s.create_fresh () in
       let cell = SMem.make_fresh 0 in
       let per = 250 in
@@ -145,11 +155,11 @@ let test_mcs_exclusion () =
           Mcs_s.release lock h
         done
       in
-      ignore (Sim.run sim (Array.init 6 body));
+      ignore (Sim.run ~scheduler sim (Array.init 6 body));
       Alcotest.(check int) "no lost updates under MCS" (6 * per) (SMem.get cell))
 
 let test_mcs_uncontended () =
-  Sim.with_sim ~seed:28 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let body () =
         let lock = Mcs_s.create_fresh () in
         let h = Mcs_s.acquire lock in
@@ -162,7 +172,7 @@ let test_mcs_uncontended () =
 
 (* The packed two-edge ticket lock used by BST-TK. *)
 let test_ticket_pair_semantics () =
-  Sim.with_sim ~seed:4 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let body () =
         let l = Tp_s.create_fresh () in
         let vl, vr = Tp_s.versions l in
@@ -189,7 +199,7 @@ let test_ticket_pair_semantics () =
       ignore (Sim.run sim [| body |]))
 
 let test_ticket_pair_exclusion () =
-  Sim.with_sim ~seed:25 ~jitter:2 ~platform:P.xeon20 ~nthreads:6 (fun sim ->
+  under_random_schedules ~nthreads:6 (fun sim scheduler ->
       let l = Tp_s.create_fresh () in
       let cell = SMem.make_fresh 0 in
       let per = 200 in
@@ -210,7 +220,7 @@ let test_ticket_pair_exclusion () =
           Tp_s.release l Tp_s.R
         done
       in
-      ignore (Sim.run sim (Array.init 6 body));
+      ignore (Sim.run ~scheduler sim (Array.init 6 body));
       Alcotest.(check int) "no lost updates under pair lock" (6 * per) (SMem.get cell))
 
 (* ---- Systematic exploration: exclusion/handoff on every schedule ---- *)
@@ -236,7 +246,7 @@ let sct_bounds =
 let sct_exclusion ~acquire ~release ~mk () =
   let nthreads = 2 and per = 2 in
   let run ~sched =
-    Sim.with_sim ~seed:1 ~platform:P.xeon20 ~nthreads (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads (fun sim ->
         let lock = mk () in
         let cell = SMem.make_fresh 0 in
         let inside = ref 0 in
@@ -292,7 +302,7 @@ let test_sct_rw_writers =
    under test, so the reader does not lock). *)
 let test_sct_seqlock () =
   let run ~sched =
-    Sim.with_sim ~seed:1 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
         let l = Seq_s.create_fresh () in
         let a = SMem.make_fresh 0 and b = SMem.make_fresh 0 in
         let torn = ref None in

@@ -180,7 +180,7 @@ let test_default_model_meta_is_empty () =
 
 (* two threads ping-ponging RMWs on one line: maximal coherence traffic *)
 let pingpong model platform =
-  Sim.with_sim ~seed:7 ~model ~platform ~nthreads:2 (fun sim ->
+  Sim.with_sim ~model ~platform ~nthreads:2 (fun sim ->
       let r = Mem.make_fresh 0 in
       let body _ () =
         for _ = 1 to 200 do
@@ -196,7 +196,7 @@ let pingpong model platform =
    differently, while a pure RMW ping-pong (always write-intent) costs
    the same under both *)
 let write_read_share model platform =
-  Sim.with_sim ~seed:7 ~model ~platform ~nthreads:2 (fun sim ->
+  Sim.with_sim ~model ~platform ~nthreads:2 (fun sim ->
       let r = Mem.make_fresh 0 in
       let bodies =
         [|
@@ -246,7 +246,7 @@ let test_mesi_default_identity () =
   (* the implicit default must be the very same run as explicit mesi *)
   let explicit = pingpong mesi P.xeon20 in
   let implicit =
-    Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
         let r = Mem.make_fresh 0 in
         let body _ () =
           for _ = 1 to 200 do
@@ -286,7 +286,7 @@ let stats_line label (st : Sim.run_stats) =
 let pin_threads = 12
 
 let raw_run model platform ~lines body =
-  Sim.with_sim ~seed:5 ~model ~platform ~nthreads:pin_threads (fun sim ->
+  Sim.with_sim ~model ~platform ~nthreads:pin_threads (fun sim ->
       let cells = Array.init lines (fun _ -> Mem.make_fresh 0) in
       let makespan = Sim.run sim (Array.init pin_threads (fun t () -> body cells t)) in
       Sim.stats sim ~makespan)

@@ -6,8 +6,8 @@ module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 
-let run_counter ?(jitter = 0) ?(faults = []) ~platform ~nthreads ~increments () =
-  Sim.with_sim ~seed:11 ~jitter ~platform ~nthreads (fun sim ->
+let run_counter ?(faults = []) ~platform ~nthreads ~increments () =
+  Sim.with_sim ~platform ~nthreads (fun sim ->
       let c = Mem.make_fresh 0 in
       let body _ () =
         for _ = 1 to increments do
@@ -28,7 +28,7 @@ let test_atomic_counter () =
 let test_determinism () =
   let _, m1, _, _ = run_counter ~platform:P.xeon20 ~nthreads:4 ~increments:200 () in
   let _, m2, _, _ = run_counter ~platform:P.xeon20 ~nthreads:4 ~increments:200 () in
-  Alcotest.(check int) "same seed, same makespan" m1 m2
+  Alcotest.(check int) "same program, same makespan" m1 m2
 
 let test_contention_slows_down () =
   let _, m1, _, _ = run_counter ~platform:P.xeon20 ~nthreads:1 ~increments:1000 () in
@@ -37,7 +37,7 @@ let test_contention_slows_down () =
   Alcotest.(check bool) "contention increases makespan" true (m8 > m1 * 2)
 
 let test_private_reads_are_cheap () =
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let r = Mem.make_fresh 0 in
       let body () = for _ = 1 to 1000 do ignore (Mem.get r) done in
       let makespan = Sim.run sim [| body |] in
@@ -49,7 +49,7 @@ let test_private_reads_are_cheap () =
 
 let test_sharing_costs_transfers () =
   (* two threads ping-ponging writes on one line must generate transfers *)
-  Sim.with_sim ~seed:5 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let r = Mem.make_fresh 0 in
       let body _ () = for _ = 1 to 500 do Mem.set r 1 done in
       let makespan = Sim.run sim (Array.init 2 body) in
@@ -60,7 +60,7 @@ let test_remote_socket_costlier () =
   (* threads 0 and 1 on Xeon20 share a socket (cores 0,1); a line
      ping-ponged between sockets costs more. *)
   let makespan_for pair =
-    Sim.with_sim ~seed:7 ~platform:P.xeon20 ~nthreads:20 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:20 (fun sim ->
         let r = Mem.make_fresh 0 in
         let body tid () =
           if List.mem tid pair then for _ = 1 to 300 do Mem.set r 1 done
@@ -76,7 +76,7 @@ let test_remote_socket_costlier () =
 let test_line_grouping_false_sharing () =
   (* two cells on the SAME line contend even though they are distinct *)
   let makespan shared =
-    Sim.with_sim ~seed:9 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
         let line = Mem.new_line () in
         let a = if shared then Mem.make line 0 else Mem.make_fresh 0 in
         let b = if shared then Mem.make line 0 else Mem.make_fresh 0 in
@@ -96,7 +96,7 @@ let test_smt_scaling_t44 () =
   (* on the T4-4, 8 threads land on 8 distinct cores; with 8x SMT they
      would share.  Verify co-located threads run slower per-thread. *)
   let tput nthreads =
-    Sim.with_sim ~seed:13 ~platform:P.t44 ~nthreads (fun sim ->
+    Sim.with_sim ~platform:P.t44 ~nthreads (fun sim ->
         let body _ () =
           let r = Mem.make_fresh 0 in
           for _ = 1 to 500 do
@@ -112,7 +112,7 @@ let test_smt_scaling_t44 () =
   Alcotest.(check bool) "smt still helps in aggregate" true (t256 > t32)
 
 let test_work_charges_cycles () =
-  Sim.with_sim ~seed:15 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let body () = Mem.work 12345 in
       let makespan = Sim.run sim [| body |] in
       Alcotest.(check bool) "work charged" true (makespan >= 12345))
@@ -121,21 +121,21 @@ let test_thread_failure_propagates () =
   Alcotest.check_raises "failure surfaces as Thread_failure" (Failure "boom")
     (fun () ->
       try
-        Sim.with_sim ~seed:1 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+        Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
             let body tid () = if tid = 1 then failwith "boom" in
             ignore (Sim.run sim (Array.init 2 body)))
       with Sim.Thread_failure (_, e, _) -> raise e)
 
 (* Pinned free-running runs: exact makespan, decision count, access and
    transfer counters and crash list of three smallest-clock-first runs
-   (contended and jittered; under a mixed fault plan; with every thread
+   (contended; under a mixed fault plan; with every thread
    stalled at once, forcing fast-forwards).  The expected values are a
    behavioural contract of the default scheduling policy: any change to
    how [Sim.run] picks the next thread, applies faults or skips stalls
    shows up here. *)
-let pinned_counter ?jitter ?faults ~nthreads ~increments () =
+let pinned_counter ?faults ~nthreads ~increments () =
   let _, makespan, st, sim =
-    run_counter ?jitter ?faults ~platform:P.xeon20 ~nthreads ~increments ()
+    run_counter ?faults ~platform:P.xeon20 ~nthreads ~increments ()
   in
   ( [ makespan; Sim.decisions sim; st.Sim.accesses; st.Sim.transfers_local; st.Sim.transfers_remote ],
     Sim.crashed_tids sim )
@@ -146,9 +146,9 @@ let check_pinned name (got, got_crashed) (want, want_crashed) =
 
 let test_free_running_pinned () =
   let fault at tid f = { Sim.fe_at = at; fe_tid = tid; fe_fault = f } in
-  check_pinned "contended, jitter 2"
-    (pinned_counter ~jitter:2 ~nthreads:20 ~increments:40 ())
-    ([ 58030; 9404; 9384; 2519; 2165 ], []);
+  check_pinned "contended"
+    (pinned_counter ~nthreads:20 ~increments:40 ())
+    ([ 58108; 8862; 8842; 2476; 1942 ], []);
   check_pinned "crash + stall + numa-slow"
     (pinned_counter ~nthreads:20 ~increments:40
        ~faults:
@@ -203,7 +203,7 @@ let rotating_chooser calls log r =
 
 let test_controlled_one_call_per_decision () =
   let run faults =
-    Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+    Sim.with_sim ~platform:P.xeon20 ~nthreads:3 (fun sim ->
         let calls = ref 0 and log = ref [] in
         let bodies = mixed_bodies () in
         let makespan = Sim.run ~scheduler:(rotating_chooser calls log) ~faults sim bodies in
@@ -229,7 +229,7 @@ exception Chooser_gave_up of int
 let test_chooser_exception_unwrapped () =
   List.iter
     (fun k ->
-      Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+      Sim.with_sim ~platform:P.xeon20 ~nthreads:3 (fun sim ->
           let cell = Mem.make_fresh 0 in
           let swallowed = ref false in
           (* a body that catches everything must not see the chooser's
@@ -260,7 +260,7 @@ let test_chooser_exception_unwrapped () =
     [ 1; 2; 7; 30 ]
 
 let test_finished_choice_rejected () =
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let cell = Mem.make_fresh 0 in
       let body tid () =
         for _ = 1 to (if tid = 0 then 1 else 10) do
@@ -287,7 +287,7 @@ let test_finished_choice_rejected () =
       Alcotest.(check int) "at the fifth decision" 5 !calls)
 
 let test_failure_after_repicks_attributed () =
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:3 (fun sim ->
       let cell = Mem.make_fresh 0 in
       let body tid () =
         for _ = 1 to 200 do
@@ -320,7 +320,7 @@ let streak_chooser ?(give_up = 0) calls choices r =
 (* Chooser calls, decisions, makespan, choices and crashed tids of
    [bodies] under [streak_chooser] and [faults]. *)
 let streak_run ?give_up ~faults bodies =
-  Sim.with_sim ~seed:3 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:3 (fun sim ->
       let calls = ref 0 and choices = Buffer.create 64 in
       let makespan =
         Sim.run ~scheduler:(streak_chooser ?give_up calls choices) ~faults sim (bodies ())

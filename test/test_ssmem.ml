@@ -16,7 +16,7 @@ let create_with_threshold n ?reclaimer () =
   with_gc_threshold n (fun () -> Ssmem_s.create ?reclaimer ())
 
 let test_no_reclaim_before_quiescence () =
-  Sim.with_sim ~seed:41 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let a = create_with_threshold 4 () in
       let body tid () =
         if tid = 0 then begin
@@ -38,7 +38,7 @@ let test_no_reclaim_before_quiescence () =
       Alcotest.(check bool) "gc passes happened" true (st.Ssmem_s.gc_passes > 0))
 
 let test_blocked_by_active_reader () =
-  Sim.with_sim ~seed:43 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let a = create_with_threshold 4 () in
       let body tid () =
         if tid = 1 then begin
@@ -62,7 +62,7 @@ let test_blocked_by_active_reader () =
         (st.Ssmem_s.pending > 0))
 
 let test_reclaim_after_all_quiesce () =
-  Sim.with_sim ~seed:45 ~platform:P.xeon20 ~nthreads:3 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:3 (fun sim ->
       let a = create_with_threshold 8 () in
       let body tid () =
         if tid = 0 then
@@ -88,7 +88,7 @@ let test_reclaim_after_all_quiesce () =
         (st.Ssmem_s.reclaimed > st.Ssmem_s.freed / 2))
 
 let test_reclaimer_callback () =
-  Sim.with_sim ~seed:47 ~platform:P.xeon20 ~nthreads:2 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:2 (fun sim ->
       let hit = ref 0 in
       let a = create_with_threshold 2 ~reclaimer:(fun _ -> incr hit) () in
       let body _ () =
@@ -122,7 +122,7 @@ let test_threshold_reaches_registry_makers () =
 let test_rcu_readers_never_see_freed () =
   (* writer swaps a boxed value and synchronizes before "freeing" (we mark
      the box poisoned); readers must never observe a poisoned box. *)
-  Sim.with_sim ~seed:49 ~jitter:2 ~platform:P.xeon20 ~nthreads:4 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:4 (fun sim ->
       let rcu = Rcu_s.create () in
       let box = SMem.make_fresh (SMem.make_fresh 1) in
       let bad = SMem.make_fresh 0 in
@@ -147,7 +147,7 @@ let test_rcu_readers_never_see_freed () =
       Alcotest.(check int) "grace periods protect readers" 0 (SMem.get bad))
 
 let test_rcu_synchronize_no_readers () =
-  Sim.with_sim ~seed:51 ~platform:P.xeon20 ~nthreads:1 (fun sim ->
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:1 (fun sim ->
       let rcu = Rcu_s.create () in
       let body () = Rcu_s.synchronize rcu in
       ignore (Sim.run sim [| body |]);
