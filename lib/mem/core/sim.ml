@@ -78,6 +78,16 @@ type fault_event = Simtypes.fault_event = { fe_at : int; fe_tid : int; fe_fault 
 
 exception Thread_killed = Simtypes.Thread_killed
 
+type trace_class = Simtypes.trace_class =
+  | Tc_l1
+  | Tc_llc
+  | Tc_c2c_local
+  | Tc_c2c_remote
+  | Tc_llc_remote
+  | Tc_mem
+
+type energy = Simtypes.energy = { mutable nj : float }
+
 type mem_counters = Simtypes.mem_counters = {
   mutable accesses : int;
   mutable l1 : int;
@@ -88,18 +98,11 @@ type mem_counters = Simtypes.mem_counters = {
   mutable mem : int;
   mutable rmw : int;
   mutable writes : int;
-  mutable energy_nj : float;
+  mutable last_class : trace_class;
+  energy : energy;
 }
 
 let fresh_counters = Simtypes.fresh_counters
-
-type trace_class = Simtypes.trace_class =
-  | Tc_l1
-  | Tc_llc
-  | Tc_c2c_local
-  | Tc_c2c_remote
-  | Tc_llc_remote
-  | Tc_mem
 
 type observer = Simtypes.observer = {
   obs_access : int -> access_kind -> int -> trace_class -> unit;
@@ -170,15 +173,29 @@ type t = {
   mutable live : int;
   mutable txn : txn_state option;
   mutable observer : observer option; (* instrumentation hook; None = zero cost *)
-  mutable last_class : trace_class; (* service class of the last priced access *)
   mutable kcas_class : trace_class array; (* per-line classes of the last k-CAS commit *)
   (* fault-injection state; inert (any_fault = false) unless run is
      given a fault plan, so default paths stay byte-identical *)
   mutable any_fault : bool;
   mutable decisions : int; (* executed steps in the current run *)
   mutable runnable : runnable; (* the current run's decision record *)
-  mutable choose : scheduler; (* the current run's chooser *)
+  mutable choose : scheduler option; (* the current run's chooser; None = the clock *)
   mutable next : int; (* choice a yield point made for the loop, or -1 *)
+  (* The free-running chooser's state, allocated by the first
+     free-running run: each thread's pending access as two ints
+     ([pend_line = -1]: the pending step is its [runnable.r_acts] slot);
+     a binary min-heap on (clock, tid) of exactly the runnable threads,
+     in [order.(0 .. ordered - 1)], with [slot.(tid)] the index of [tid]
+     in it or -1; and the live threads a stall took out of it, to
+     re-enter it once [decisions] reaches [next_wake].  A controlled run
+     keeps [ordered = 0] and touches none of it. *)
+  mutable pend_kind : access_kind array;
+  mutable pend_line : int array;
+  mutable order : int array;
+  mutable slot : int array;
+  mutable ordered : int;
+  mutable stalled : int list;
+  mutable next_wake : int;
   mutable pending_faults : fault_event list; (* sorted by fe_at *)
   mutable crashed_tids : int list; (* newest first *)
   slow_factor : float array; (* per-socket NUMA slowdown multiplier *)
@@ -226,13 +243,19 @@ let create ?(model = default_model) ~platform ~nthreads () =
     live = 0;
     txn = None;
     observer = None;
-    last_class = Tc_l1;
     kcas_class = [||];
     any_fault = false;
     decisions = 0;
     runnable = { Simtypes.rn = 0; r_tids = [||]; r_acts = [||] };
-    choose = (fun _ -> -1);
+    choose = None;
     next = -1;
+    pend_kind = [||];
+    pend_line = [||];
+    order = [||];
+    slot = [||];
+    ordered = 0;
+    stalled = [];
+    next_wake = max_int;
     pending_faults = [];
     crashed_tids = [];
     slow_factor = Array.make platform.P.sockets 1.0;
@@ -269,20 +292,20 @@ let new_line_id sim =
 
 let em = P.energy_model
 
-(* Charge and account one memory access; returns its latency in cycles
-   and leaves its service class in [sim.last_class].  The core charges
-   the model-independent parts (access/store counts, instruction
-   overhead and its energy, NUMA fault scaling); the installed coherence
-   model charges the service class, its energy, any atomic surcharge,
-   and mutates its own line state.  The caller notifies the observer. *)
-let access_cost sim th kind line =
+(* Charge and account one memory access to [cnt], [th]'s counters;
+   returns its latency in cycles, and the model leaves its service class
+   in [cnt.last_class].  The core charges the model-independent parts
+   (access/store counts, instruction overhead and its energy, NUMA fault
+   scaling); the installed coherence model charges the service class,
+   its energy, any atomic surcharge, and mutates its own line state.
+   The caller notifies the observer.  Allocates nothing. *)
+let access_cost sim th cnt kind line =
   let p = sim.plat in
   let s = th.socket in
-  let cnt = sim.counters.(th.tid) in
   cnt.accesses <- cnt.accesses + 1;
   (match kind with Write -> cnt.writes <- cnt.writes + 1 | Read | Rmw -> ());
   let (Cohmodel.Inst ((module C), cm)) = sim.coh in
-  let lat, tcls = C.access cm cnt ~core:th.core ~socket:s kind line in
+  let lat = C.access cm cnt ~core:th.core ~socket:s kind line in
   (* transient NUMA degradation: scale the memory latency (not the
      instruction overhead) while the thread's socket is slowed *)
   let lat =
@@ -291,9 +314,81 @@ let access_cost sim th kind line =
     else lat
   in
   let instr = int_of_float (float_of_int p.P.c_instr *. th.instr_scale) in
-  cnt.energy_nj <- cnt.energy_nj +. em.P.nj_instr;
-  sim.last_class <- tcls;
+  cnt.energy.nj <- cnt.energy.nj +. em.P.nj_instr;
   lat + instr
+
+(* ------------------------------------------------------------------ *)
+(* The free-running order                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [a] runs before [b]: the smaller clock, the lower tid on ties. *)
+let[@inline] before sim a b =
+  let ca = sim.threads.(a).clock and cb = sim.threads.(b).clock in
+  ca < cb || (ca = cb && a < b)
+
+let[@inline] place sim i tid =
+  sim.order.(i) <- tid;
+  sim.slot.(tid) <- i
+
+(* Move [tid], bound for index [i], up or down the heap to its place. *)
+let rec sift_up sim i tid =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before sim tid sim.order.(parent) then begin
+    place sim i sim.order.(parent);
+    sift_up sim parent tid
+  end
+  else place sim i tid
+
+let rec sift_down sim i tid =
+  let l = (2 * i) + 1 in
+  if l >= sim.ordered then place sim i tid
+  else begin
+    let c = if l + 1 < sim.ordered && before sim sim.order.(l + 1) sim.order.(l) then l + 1 else l in
+    if before sim sim.order.(c) tid then begin
+      place sim i sim.order.(c);
+      sift_down sim c tid
+    end
+    else place sim i tid
+  end
+
+let sift sim i tid =
+  if i > 0 && before sim tid sim.order.((i - 1) / 2) then sift_up sim i tid
+  else sift_down sim i tid
+
+let order_add sim tid =
+  sim.ordered <- sim.ordered + 1;
+  sift_up sim (sim.ordered - 1) tid
+
+let order_remove sim tid =
+  let i = if sim.ordered > 0 then sim.slot.(tid) else -1 in
+  if i >= 0 then begin
+    sim.slot.(tid) <- -1;
+    sim.ordered <- sim.ordered - 1;
+    if i < sim.ordered then sift sim i sim.order.(sim.ordered)
+  end
+
+(* [th]'s clock moved: restore its place in the free-running order. *)
+let[@inline] reorder sim th =
+  match sim.choose with None -> sift sim sim.slot.(th.tid) th.tid | Some _ -> ()
+
+(* Put back every stalled thread whose stall has expired; drop the dead. *)
+let wake_stalled sim =
+  let wake = ref max_int in
+  sim.stalled <-
+    List.filter
+      (fun tid ->
+        let th = sim.threads.(tid) in
+        if th.finished || th.crashed then false
+        else if th.stalled_until <= sim.decisions then begin
+          order_add sim tid;
+          false
+        end
+        else begin
+          wake := min !wake th.stalled_until;
+          true
+        end)
+      sim.stalled;
+  sim.next_wake <- !wake
 
 (* ------------------------------------------------------------------ *)
 (* Effects & the MEMORY instance                                       *)
@@ -306,6 +401,14 @@ type _ Effect.t +=
   | Abort : exn * Printexc.raw_backtrace -> unit Effect.t
         (** a decision or commit taken at a yield point raised *)
 
+(* Commit [th]'s pending access of [kind] to [line]. *)
+let commit_access sim th kind line =
+  let cnt = sim.counters.(th.tid) in
+  let lat = access_cost sim th cnt kind line in
+  (match sim.observer with Some o -> o.obs_access th.tid kind line cnt.last_class | None -> ());
+  th.clock <- th.clock + lat;
+  reorder sim th
+
 (* Commit [th]'s pending step [act]: charge its latency to [th]'s clock.
    The observer hears a priced access before the clock moves past it.
    Every touched line of a k-CAS commit pays its own RMW coherence cost
@@ -313,48 +416,60 @@ type _ Effect.t +=
    [sim.kcas_class]: the observer hears each access/outcome pair from
    the k-CAS code instead, which knows the outcome. *)
 let commit sim th = function
-  | A_access (kind, line) ->
-      let lat = access_cost sim th kind line in
-      (match sim.observer with
-      | Some o -> o.obs_access th.tid kind line sim.last_class
-      | None -> ());
-      th.clock <- th.clock + lat
-  | A_work n -> th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale)
+  | A_access (kind, line) -> commit_access sim th kind line
+  | A_work n ->
+      th.clock <- th.clock + int_of_float (float_of_int n *. th.instr_scale);
+      reorder sim th
   | A_kcas lines ->
+      let cnt = sim.counters.(th.tid) in
       if Array.length sim.kcas_class < Array.length lines then
         sim.kcas_class <- Array.make (Array.length lines) Tc_l1;
       Array.iteri
         (fun i line ->
-          th.clock <- th.clock + access_cost sim th Rmw line;
-          sim.kcas_class.(i) <- sim.last_class)
-        lines
+          th.clock <- th.clock + access_cost sim th cnt Rmw line;
+          sim.kcas_class.(i) <- cnt.last_class)
+        lines;
+      reorder sim th
   | A_start -> ()
 
-(* One decision: list the runnable threads (live, not crashed, not
-   stalled; ascending tid) into [sim.runnable], ask the chooser, and
-   check that it answered one of them.  [-1] when every live thread is
-   stalled. *)
+(* Commit [th]'s pending step, wherever it was recorded. *)
+let commit_pending sim th =
+  match sim.choose with
+  | None when sim.pend_line.(th.tid) >= 0 ->
+      commit_access sim th sim.pend_kind.(th.tid) sim.pend_line.(th.tid)
+  | _ -> commit sim th sim.runnable.r_acts.(th.tid)
+
+(* One decision; [-1] when every live thread is stalled.  Free-running,
+   the answer is the root of the heap.  A controlled chooser gets the
+   runnable threads (live, not crashed, not stalled; ascending tid)
+   listed into [sim.runnable], and its answer is checked to be one of
+   them. *)
 let decide sim =
-  let r = sim.runnable in
-  let n = ref 0 in
-  for tid = 0 to sim.nthreads - 1 do
-    let th = sim.threads.(tid) in
-    if (not th.finished) && (not th.crashed) && th.stalled_until <= sim.decisions then begin
-      r.r_tids.(!n) <- tid;
-      incr n
-    end
-  done;
-  r.rn <- !n;
-  if !n = 0 then -1
-  else begin
-    let tid = sim.choose r in
-    if
-      tid < 0 || tid >= sim.nthreads || sim.threads.(tid).finished
-      || sim.threads.(tid).crashed
-      || sim.threads.(tid).stalled_until > sim.decisions
-    then invalid_arg (Printf.sprintf "Sim.run: scheduler chose non-runnable thread %d" tid);
-    tid
-  end
+  match sim.choose with
+  | None ->
+      if sim.decisions >= sim.next_wake then wake_stalled sim;
+      if sim.ordered = 0 then -1 else sim.order.(0)
+  | Some choose ->
+      let r = sim.runnable in
+      let n = ref 0 in
+      for tid = 0 to sim.nthreads - 1 do
+        let th = sim.threads.(tid) in
+        if (not th.finished) && (not th.crashed) && th.stalled_until <= sim.decisions then begin
+          r.r_tids.(!n) <- tid;
+          incr n
+        end
+      done;
+      r.rn <- !n;
+      if !n = 0 then -1
+      else begin
+        let tid = choose r in
+        if
+          tid < 0 || tid >= sim.nthreads || sim.threads.(tid).finished
+          || sim.threads.(tid).crashed
+          || sim.threads.(tid).stalled_until > sim.decisions
+        then invalid_arg (Printf.sprintf "Sim.run: scheduler chose non-runnable thread %d" tid);
+        tid
+      end
 
 (* A fault is due at the current decision.  The fault being applied
    stays at the head of the plan until it has been applied. *)
@@ -362,8 +477,8 @@ let fault_due sim =
   match sim.pending_faults with fe :: _ -> fe.fe_at <= sim.decisions | [] -> false
 
 (* The yield point of every step (a {!Mem} access, [work]/[cpu_relax], a
-   k-CAS commit, a transaction's commit work): record the running
-   thread's next step [act] and take the decision here, as the loop
+   k-CAS commit, a transaction's commit work), once the running thread
+   [tid] has recorded its next step: take the decision here, as the loop
    would (no thread running, the same runnable set).  A re-pick of the
    running thread is committed on the spot and the thread runs on
    without an effect; another choice suspends it and hands the choice to
@@ -373,9 +488,7 @@ let fault_due sim =
    clean-up code at its first yield point.  An exception from the
    decision or the commit leaves through [Abort], never through the
    thread's own code. *)
-let yield_point sim act =
-  let tid = sim.cur in
-  sim.runnable.r_acts.(tid) <- act;
+let yield sim tid =
   if sim.any_fault && fault_due sim then Effect.perform Switch
   else begin
     sim.cur <- -1;
@@ -384,7 +497,7 @@ let yield_point sim act =
       sim.cur <- tid;
       if next = tid then begin
         sim.decisions <- sim.decisions + 1;
-        commit sim sim.threads.(tid) act;
+        commit_pending sim sim.threads.(tid);
         true
       end
       else begin
@@ -396,6 +509,25 @@ let yield_point sim act =
     | false -> Effect.perform Switch
     | exception e -> Effect.perform (Abort (e, Printexc.get_raw_backtrace ()))
   end
+
+(* Record the running thread's next step [act], then yield. *)
+let yield_point sim act =
+  let tid = sim.cur in
+  sim.runnable.r_acts.(tid) <- act;
+  (match sim.choose with None -> sim.pend_line.(tid) <- -1 | Some _ -> ());
+  yield sim tid
+
+(* Record the running thread's next access, then yield.  Free-running,
+   the access is kept as two ints, so recording it allocates nothing; a
+   controlled chooser reads it from [r_acts] as an action. *)
+let yield_access sim kind line =
+  match sim.choose with
+  | None ->
+      let tid = sim.cur in
+      sim.pend_kind.(tid) <- kind;
+      sim.pend_line.(tid) <- line;
+      yield sim tid
+  | Some _ -> yield_point sim (A_access (kind, line))
 
 exception Txn_abort
 
@@ -459,7 +591,7 @@ module Mem : Memory.S with type line = int = struct
     | Some sim when sim.cur >= 0 -> (
         match sim.txn with
         | Some tx -> txn_access sim tx kind line
-        | None -> yield_point sim (A_access (kind, line)))
+        | None -> yield_access sim kind line)
     | _ -> ()
 
   let in_txn () = match !(current ()) with Some sim -> sim.txn | None -> None
@@ -644,17 +776,22 @@ exception Thread_failure of int * exn * string
     deterministically.  Returns the largest thread clock (the makespan,
     in cycles).
 
-    Every decision lists the {!runnable} set (live, not crashed, not
-    stalled; ascending tid), asks a chooser which thread to resume and
-    checks the answer.  [scheduler] is that chooser when given, which
-    makes the simulator a controlled concurrency tester (see
-    [Ascy_sct]): the callback sees each runnable thread's next {!action}
-    and must return one of the listed tids.  Without [scheduler] the
-    chooser is the clock: the runnable thread with the smallest
-    [(clock, tid)] is resumed — the free-running hardware model.  The
-    [runnable] record passed to the callback is {e reused} across
-    decisions — the per-decision hot path allocates nothing — so
-    schedulers must copy anything they retain past the callback.
+    Every decision resumes one runnable thread (live, not crashed, not
+    stalled).  Without [scheduler] the chooser is the clock: the
+    runnable thread with the smallest [(clock, tid)] is resumed — the
+    free-running hardware model.  It is the root of a binary min-heap
+    that holds exactly the runnable threads: a commit moves the one
+    thread whose clock grew, finishing, a crash or a stall takes a
+    thread out, and a stall puts it back when it expires, so a decision
+    costs O(log n) whether or not a fault plan is given.  [scheduler],
+    when given, makes the simulator a controlled concurrency tester (see
+    [Ascy_sct]): each decision lists the {!runnable} set (ascending tid)
+    for the callback, which sees each runnable thread's next {!action},
+    must return one of the listed tids and is checked.  The [runnable]
+    record passed to the callback is {e reused} across decisions, so
+    schedulers must copy anything they retain past the callback.  A
+    decision and the commit of a priced access allocate nothing; a
+    thread that suspends allocates its continuation.
 
     A thread's first step and the step after a thread finishes are
     decided in the run's loop.  Every other decision falls at a yield
@@ -688,6 +825,25 @@ let run ?scheduler ?(faults = []) sim bodies =
       th.crashed <- false;
       th.stalled_until <- 0)
     sim.threads;
+  (* free-running, every thread is runnable at clock 0, and ascending
+     tids are a heap; a controlled run keeps no heap *)
+  sim.choose <- scheduler;
+  sim.ordered <- 0;
+  if Option.is_none scheduler then begin
+    if Array.length sim.order = 0 then begin
+      sim.pend_kind <- Array.make sim.nthreads Read;
+      sim.pend_line <- Array.make sim.nthreads (-1);
+      sim.order <- Array.make sim.nthreads 0;
+      sim.slot <- Array.make sim.nthreads (-1)
+    end;
+    Array.fill sim.pend_line 0 sim.nthreads (-1);
+    Array.fill sim.slot 0 sim.nthreads (-1);
+    for tid = 0 to sim.nthreads - 1 do
+      order_add sim tid
+    done
+  end;
+  sim.stalled <- [];
+  sim.next_wake <- max_int;
   sim.decisions <- 0;
   sim.any_fault <- faults <> [];
   sim.pending_faults <- List.stable_sort (fun a b -> compare a.fe_at b.fe_at) faults;
@@ -709,9 +865,18 @@ let run ?scheduler ?(faults = []) sim bodies =
      [r_acts] is indexed by tid and written once per yield point: it is
      both the scheduler's lookahead and the step the thread commits when
      next resumed, and listing the runnable set at a decision stores
-     only ints. *)
+     only ints.  A free-running access is recorded in [pend_kind] and
+     [pend_line] instead. *)
   sim.runnable <-
     { Simtypes.rn = 0; r_tids = Array.make sim.nthreads 0; r_acts = Array.make sim.nthreads A_start };
+  (* the yield point already recorded the step; built once per run, so
+     a switch allocates no handler closure *)
+  let on_switch =
+    Some
+      (fun (k : (unit, step) Effect.Deep.continuation) ->
+        sim.threads.(sim.cur).cont <- Some k;
+        Blocked)
+  in
   let handler : (unit, step) Effect.Deep.handler =
     {
       retc = (fun () -> Finished);
@@ -719,12 +884,7 @@ let run ?scheduler ?(faults = []) sim bodies =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Switch ->
-              (* the yield point already recorded the step *)
-              Some
-                (fun (k : (a, step) Effect.Deep.continuation) ->
-                  sim.threads.(sim.cur).cont <- Some k;
-                  Blocked)
+          | Switch -> (on_switch : ((a, step) Effect.Deep.continuation -> step) option)
           | Abort (e, bt) -> Some (fun _ -> Aborted (e, bt))
           | _ -> None);
     }
@@ -745,7 +905,7 @@ let run ?scheduler ?(faults = []) sim bodies =
           (try Effect.Deep.match_with body () handler
            with e -> raise (Thread_failure (tid, e, Printexc.get_backtrace ())))
       | None -> (
-          commit sim th sim.runnable.r_acts.(tid);
+          commit_pending sim th;
           match th.cont with
           | Some k ->
               th.cont <- None;
@@ -756,6 +916,7 @@ let run ?scheduler ?(faults = []) sim bodies =
     (match step with
     | Finished ->
         th.finished <- true;
+        order_remove sim tid;
         sim.live <- sim.live - 1;
         if th.clock > !makespan then makespan := th.clock
     | Blocked -> ()
@@ -774,6 +935,7 @@ let run ?scheduler ?(faults = []) sim bodies =
     let th = sim.threads.(tid) in
     if not (th.finished || th.crashed) then begin
       th.crashed <- true;
+      order_remove sim tid;
       sim.live <- sim.live - 1;
       sim.crashed_tids <- tid :: sim.crashed_tids;
       fresh.(tid) <- None;
@@ -802,7 +964,16 @@ let run ?scheduler ?(faults = []) sim bodies =
         | F_crash -> kill fe.fe_tid
         | F_stall n ->
             let th = sim.threads.(fe.fe_tid) in
-            if not (th.finished || th.crashed) then th.stalled_until <- sim.decisions + max 0 n
+            if not (th.finished || th.crashed) then begin
+              th.stalled_until <- sim.decisions + max 0 n;
+              (* free-running, a live thread out of the heap is already
+                 on [stalled] *)
+              if sim.ordered > 0 && sim.slot.(th.tid) >= 0 then begin
+                order_remove sim th.tid;
+                sim.stalled <- th.tid :: sim.stalled
+              end;
+              sim.next_wake <- min sim.next_wake th.stalled_until
+            end
         | F_numa_slow { factor; window } ->
             sim.slow_factor.(fe.fe_tid) <- factor;
             sim.slow_until.(fe.fe_tid) <- sim.decisions + max 0 window
@@ -816,22 +987,6 @@ let run ?scheduler ?(faults = []) sim bodies =
         apply_due_faults ()
     | _ -> ()
   in
-  (* The free-running chooser: the smallest [(clock, tid)].  Runnable
-     tids are ascending, so a strict [<] keeps the lowest tid on ties. *)
-  let by_clock r =
-    let best = ref r.Simtypes.r_tids.(0) in
-    let best_clock = ref sim.threads.(!best).clock in
-    for i = 1 to r.rn - 1 do
-      let tid = r.r_tids.(i) in
-      let clock = sim.threads.(tid).clock in
-      if clock < !best_clock then begin
-        best := tid;
-        best_clock := clock
-      end
-    done;
-    !best
-  in
-  sim.choose <- (match scheduler with Some choose -> choose | None -> by_clock);
   sim.next <- -1;
   while sim.live > 0 do
     if sim.any_fault then apply_due_faults ();
@@ -980,7 +1135,7 @@ let per_thread_stats sim =
         t_mem = c.mem;
         t_atomics = c.rmw;
         t_stores = c.writes;
-        t_energy_nj = c.energy_nj;
+        t_energy_nj = c.energy.nj;
       })
     sim.counters
 
@@ -1000,7 +1155,7 @@ let stats sim ~makespan =
       agg.mem <- agg.mem + c.mem;
       agg.rmw <- agg.rmw + c.rmw;
       agg.writes <- agg.writes + c.writes;
-      agg.energy_nj <- agg.energy_nj +. c.energy_nj)
+      agg.energy.nj <- agg.energy.nj +. c.energy.nj)
     sim.counters;
   let busy_cores =
     let seen = Array.make sim.plat.P.cores false in
@@ -1008,7 +1163,7 @@ let stats sim ~makespan =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen
   in
   let static_j = em.P.w_static_core *. float_of_int busy_cores *. seconds in
-  let energy_j = (agg.energy_nj *. 1e-9) +. static_j in
+  let energy_j = (agg.energy.nj *. 1e-9) +. static_j in
   let events = Array.make Event.count 0 in
   Array.iter (fun row -> Array.iteri (fun i v -> events.(i) <- events.(i) + v) row) sim.events;
   {

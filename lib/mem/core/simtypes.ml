@@ -46,14 +46,14 @@ let dependent a b =
 (** The runnable-thread set presented to a scheduler at one decision
     point: the first [rn] slots of [r_tids] hold the runnable thread ids
     (ascending), and [r_acts] holds every thread's next action indexed
-    by {e tid} (the simulator writes a thread's slot once, when it
-    performs its effect, so listing the set stores only ints).  Read
-    both through {!runnable_tid} / {!runnable_action}, which take a
-    position in the set.  The simulator reuses one [runnable] record
-    across every decision of a run — the per-decision hot path
-    allocates nothing — so schedulers must not retain it: a caller
-    that needs a snapshot (the SCT explorer keeps one per DFS depth)
-    copies the tids and actions it wants. *)
+    by {e tid} (the simulator writes a thread's slot once, at its yield
+    point, so listing the set stores only ints).  Read both through
+    {!runnable_tid} / {!runnable_action}, which take a position in the
+    set.  The simulator reuses one [runnable] record across every
+    decision of a run, so listing the set allocates nothing, and
+    schedulers must not retain it: a caller that needs a snapshot (the
+    SCT explorer keeps one per DFS depth) copies the tids and actions it
+    wants. *)
 type runnable = {
   mutable rn : int;  (** live slots of [r_tids]; only indices [0..rn-1] are valid *)
   r_tids : int array;
@@ -147,9 +147,17 @@ exception Thread_killed
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Where an access was served from (which coherence path it took). *)
+type trace_class = Tc_l1 | Tc_llc | Tc_c2c_local | Tc_c2c_remote | Tc_llc_remote | Tc_mem
+
+(* A running energy sum.  An all-float record stores its field unboxed,
+   so adding to it allocates nothing. *)
+type energy = { mutable nj : float }
+
 (* Per-thread memory-event counters.  The coherence model charges the
    service-class slots (l1/llc/c2c_*/llc_remote/mem), rmw and the
-   class-dependent energy; the simulator core charges accesses, writes
+   class-dependent energy, and leaves the service class of the access it
+   priced in [last_class]; the simulator core charges accesses, writes
    and the per-instruction energy. *)
 type mem_counters = {
   mutable accesses : int;
@@ -161,14 +169,24 @@ type mem_counters = {
   mutable mem : int;
   mutable rmw : int;
   mutable writes : int; (* plain (non-RMW) stores *)
-  mutable energy_nj : float;
+  mutable last_class : trace_class;
+  energy : energy;
 }
 
 let fresh_counters () =
-  { accesses = 0; l1 = 0; llc = 0; c2c_local = 0; c2c_remote = 0; llc_remote = 0; mem = 0; rmw = 0; writes = 0; energy_nj = 0.0 }
-
-(* Where an access was served from (which coherence path it took). *)
-type trace_class = Tc_l1 | Tc_llc | Tc_c2c_local | Tc_c2c_remote | Tc_llc_remote | Tc_mem
+  {
+    accesses = 0;
+    l1 = 0;
+    llc = 0;
+    c2c_local = 0;
+    c2c_remote = 0;
+    llc_remote = 0;
+    mem = 0;
+    rmw = 0;
+    writes = 0;
+    last_class = Tc_l1;
+    energy = { nj = 0.0 };
+  }
 
 let trace_class_name = function
   | Tc_l1 -> "l1"

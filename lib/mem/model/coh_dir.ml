@@ -8,8 +8,10 @@
     - a per-core direct-mapped private cache (tag array sized like
       L1+L2),
     - a per-socket direct-mapped LLC tag array,
-    - a directory per line tracking the owning core (modified state) and
-      the sharer set.
+    - a directory: one flat [int array] holding, per line, the owning
+      core (modified state, or -1) and the sharer set as a bit mask of
+      cores.  A mask fits one [int] because every platform has fewer
+      than [Sys.int_size] cores; {!create} rejects one that has not.
 
     Tag arrays are materialised on demand: each starts empty and grows
     (by powers of two, up to its full slot count) only when a line is
@@ -27,11 +29,7 @@
     record; the model decides {e which} class an access falls in. *)
 
 module P = Ascy_platform.Platform
-module Bits = Ascy_util.Bits
-module Vec = Ascy_util.Vec
 open Simtypes
-
-type line_state = { mutable owner : int; sharers : Bits.t }
 
 type t = {
   victim : bool;
@@ -65,7 +63,10 @@ type t = {
           remote-priced whenever any remote cache — another socket's LLC
           included — could hold a copy. *)
   plat : P.t;
-  lines : line_state Vec.t;
+  cps : int; (* cores per socket *)
+  outside : int array; (* per socket: the mask of every core on another socket *)
+  mutable dir : int array; (* [owner; sharer mask] per line, at [2 * line] *)
+  mutable nlines : int;
   priv : int array array; (* per-core direct-mapped private-cache tags *)
   priv_mask : int;
   llc_tags : int array array; (* per-socket LLC tags *)
@@ -74,22 +75,43 @@ type t = {
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
-let dummy_line = { owner = -1; sharers = Bits.create 1 }
-
 let create ~victim ~platform =
+  if platform.P.cores >= Sys.int_size then
+    invalid_arg
+      (Printf.sprintf "Coh_dir.create: %s has %d cores; a sharer mask holds at most %d"
+         platform.P.name platform.P.cores (Sys.int_size - 1));
   let priv_slots = pow2_at_least (min platform.P.l1_lines 16384) 64 in
   let llc_slots = pow2_at_least (min platform.P.llc_lines 524288) 1024 in
+  let cps = P.cores_per_socket platform in
+  let all = (1 lsl platform.P.cores) - 1 in
   {
     victim;
     plat = platform;
-    lines = Vec.create ~capacity:4096 dummy_line;
+    cps;
+    outside = Array.init platform.P.sockets (fun s -> all land lnot (((1 lsl cps) - 1) lsl (s * cps)));
+    dir = Array.make 4096 0 (* 2,048 lines before the first doubling *);
+    nlines = 0;
     priv = Array.make platform.P.cores [||];
     priv_mask = priv_slots - 1;
     llc_tags = Array.make platform.P.sockets [||];
     llc_mask = llc_slots - 1;
   }
 
-let on_new_line t _id = Vec.push t.lines { owner = -1; sharers = Bits.create t.plat.P.cores }
+let on_new_line t _id =
+  let i = 2 * t.nlines in
+  if i = Array.length t.dir then begin
+    let grown = Array.make (2 * i) 0 in
+    Array.blit t.dir 0 grown 0 i;
+    t.dir <- grown
+  end;
+  t.dir.(i) <- -1;
+  t.dir.(i + 1) <- 0;
+  t.nlines <- t.nlines + 1
+
+(* The directory index of [line]'s owner; its sharer mask follows. *)
+let[@inline] entry t line =
+  if line < 0 || line >= t.nlines then invalid_arg "Coh_dir: unknown line";
+  2 * line
 
 let em = P.energy_model
 
@@ -131,9 +153,9 @@ let install_priv t core socket line =
   let slot = line land t.priv_mask in
   let old = tag t.priv core slot in
   if old >= 0 && old <> line then begin
-    let ols = Vec.get t.lines old in
-    Bits.remove ols.sharers core;
-    if ols.owner = core then ols.owner <- -1 (* writeback *);
+    let d = t.dir and o = entry t old in
+    d.(o + 1) <- d.(o + 1) land lnot (1 lsl core);
+    if d.(o) = core then d.(o) <- -1 (* writeback *);
     if t.victim then install_llc t socket old
   end;
   set_tag t.priv core t.priv_mask slot line
@@ -142,20 +164,21 @@ let install_priv t core socket line =
    inclusive. *)
 let fill t socket line = if not t.victim then install_llc t socket line
 
-(* Count one access of [kind] served from [cls], charge its energy and
-   return its latency (with any atomic surcharge) and class.  An
-   LLC-served write is an upgrade: an invalidation round, priced like a
-   transfer.  Inlined at every call site, where [cls] is a constant, so
+(* Count one access of [kind] served from [cls], charge its energy,
+   record its class and return its latency (with any atomic surcharge).
+   An LLC-served write is an upgrade: an invalidation round, priced like
+   a transfer.  Inlined at every call site, where [cls] is a constant, so
    the dispatch on it folds away. *)
 let[@inline] serve p cnt kind cls =
-  cnt.energy_nj <-
-    (cnt.energy_nj
+  cnt.energy.nj <-
+    (cnt.energy.nj
     +.
     match cls with
     | Tc_l1 -> em.P.nj_l1
     | Tc_llc -> ( match kind with Read -> em.P.nj_llc | Write | Rmw -> em.P.nj_transfer)
     | Tc_c2c_local | Tc_c2c_remote | Tc_llc_remote -> em.P.nj_transfer
     | Tc_mem -> em.P.nj_mem);
+  cnt.last_class <- cls;
   let lat =
     match cls with
     | Tc_l1 -> cnt.l1 <- cnt.l1 + 1; p.P.c_l1
@@ -168,73 +191,74 @@ let[@inline] serve p cnt kind cls =
   match kind with
   | Rmw ->
       cnt.rmw <- cnt.rmw + 1;
-      (lat + p.P.c_atomic, cls)
-  | Read | Write -> (lat, cls)
+      lat + p.P.c_atomic
+  | Read | Write -> lat
 
 (* A transfer of a line dirty in [owner]'s cache. *)
-let[@inline] c2c p cnt kind socket owner =
-  if owner / P.cores_per_socket p = socket then serve p cnt kind Tc_c2c_local
-  else serve p cnt kind Tc_c2c_remote
+let[@inline] c2c t cnt kind socket owner =
+  if owner / t.cps = socket then serve t.plat cnt kind Tc_c2c_local
+  else serve t.plat cnt kind Tc_c2c_remote
 
 let access t cnt ~core:c ~socket:s kind line =
   let p = t.plat in
-  let ls = Vec.get t.lines line in
+  let o = entry t line in
+  let d = t.dir in
+  let owner = d.(o) and bit = 1 lsl c in
   match kind with
-  | Read when in_priv t c line && (ls.owner = c || Bits.mem ls.sharers c) -> serve p cnt kind Tc_l1
+  | Read when in_priv t c line && (owner = c || d.(o + 1) land bit <> 0) -> serve p cnt kind Tc_l1
   | Read ->
-      let served =
-        if ls.owner >= 0 then begin
+      let lat =
+        if owner >= 0 then begin
           (* dirty elsewhere: cache-to-cache transfer; the owner demotes,
              or keeps the line Owned *)
-          let served = c2c p cnt kind s ls.owner in
+          let lat = c2c t cnt kind s owner in
           if not t.victim then begin
-            Bits.add ls.sharers ls.owner;
-            ls.owner <- -1
+            d.(o + 1) <- d.(o + 1) lor (1 lsl owner);
+            d.(o) <- -1
           end;
-          served
+          lat
         end
         else if in_llc t s line then serve p cnt kind Tc_llc
         else if in_remote_llc t s line then serve p cnt kind Tc_llc_remote
         else serve p cnt kind Tc_mem
       in
-      Bits.add ls.sharers c;
+      d.(o + 1) <- d.(o + 1) lor bit;
       install_priv t c s line;
       fill t s line;
-      served
+      lat
   | Write | Rmw ->
-      let served =
-        if ls.owner = c && in_priv t c line then serve p cnt kind Tc_l1
-        else if ls.owner >= 0 then c2c p cnt kind s ls.owner
-        else if not (Bits.is_empty ls.sharers) || in_llc t s line then
+      let sharers = d.(o + 1) in
+      let lat =
+        if owner = c && in_priv t c line then serve p cnt kind Tc_l1
+        else if owner >= 0 then c2c t cnt kind s owner
+        else if sharers <> 0 || in_llc t s line then
           (* upgrade: invalidate sharers; pay more if any are remote *)
-          if
-            Bits.exists (fun core -> core / P.cores_per_socket p <> s) ls.sharers
-            || (t.victim && in_remote_llc t s line)
-          then serve p cnt kind Tc_llc_remote
+          if sharers land t.outside.(s) <> 0 || (t.victim && in_remote_llc t s line) then
+            serve p cnt kind Tc_llc_remote
           else serve p cnt kind Tc_llc
         else serve p cnt kind Tc_mem
       in
       (* Invalidate every other copy; this write owns the line. *)
-      Bits.clear ls.sharers;
-      ls.owner <- c;
+      d.(o + 1) <- 0;
+      d.(o) <- c;
       install_priv t c s line;
       if t.victim then
         for os = 0 to p.P.sockets - 1 do
           if in_llc t os line then set_tag t.llc_tags os t.llc_mask (line land t.llc_mask) (-1)
         done
       else install_llc t s line;
-      served
+      lat
 
 let txn_conflict t ~core line =
-  let ls = Vec.get t.lines line in
-  ls.owner >= 0 && ls.owner <> core
+  let owner = t.dir.(entry t line) in
+  owner >= 0 && owner <> core
 
 let txn_line_cost t ~core line = if in_priv t core line then t.plat.P.c_l1 else t.plat.P.c_llc
 
 let txn_commit t ~core ~socket line =
-  let ls = Vec.get t.lines line in
-  Bits.clear ls.sharers;
-  ls.owner <- core;
+  let o = entry t line in
+  t.dir.(o + 1) <- 0;
+  t.dir.(o) <- core;
   install_priv t core socket line;
   fill t socket line
 

@@ -33,12 +33,13 @@ let em = P.energy_model
 
 let access t cnt ~core:_ ~socket:_ kind _line =
   cnt.l1 <- cnt.l1 + 1;
-  cnt.energy_nj <- cnt.energy_nj +. em.P.nj_l1;
+  cnt.energy.nj <- cnt.energy.nj +. em.P.nj_l1;
+  cnt.last_class <- Tc_l1;
   match kind with
-  | Read | Write -> (t.plat.P.c_l1, Tc_l1)
+  | Read | Write -> t.plat.P.c_l1
   | Rmw ->
       cnt.rmw <- cnt.rmw + 1;
-      (t.plat.P.c_l1 + t.plat.P.c_atomic, Tc_l1)
+      t.plat.P.c_l1 + t.plat.P.c_atomic
 
 (* No line is ever dirty elsewhere: transactions only abort on
    capacity. *)

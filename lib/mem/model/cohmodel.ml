@@ -24,14 +24,15 @@
 
     - [access] is called once per committed non-transactional access,
       {e after} the core has charged [accesses]/[writes] and {e before}
-      it notifies the observer, which hears the service class the model
-      returns.  The model updates the service-class counters
-      ([l1]/[llc]/[c2c_*]/[llc_remote]/[mem]), [rmw] (for [Rmw]
-      accesses) and the class-dependent [energy_nj] of [cnt], mutates
-      its own line/tag state, and returns the access latency in cycles
-      (including any atomic-op surcharge) plus the service class the
-      observer is told.  It must not touch [accesses], [writes] or the
-      per-instruction energy — the core owns those.
+      it notifies the observer.  The model updates the service-class
+      counters ([l1]/[llc]/[c2c_*]/[llc_remote]/[mem]), [rmw] (for
+      [Rmw] accesses) and the class-dependent [energy] of [cnt], stores
+      the service class in [cnt.last_class] (the class the observer is
+      told), mutates its own line/tag state, and returns the access
+      latency in cycles (including any atomic-op surcharge).  It must
+      not touch [accesses], [writes] or the per-instruction energy — the
+      core owns those.  It runs on every simulated access, so it should
+      allocate nothing.
     - [on_new_line] is called once per allocated line id, in order.
     - [txn_*] back the best-effort transaction path: [txn_conflict]
       says whether a line is dirty in another core's cache (abort),
@@ -58,16 +59,10 @@ module type S = sig
   val on_new_line : t -> int -> unit
   (** A new line id was allocated (ids are dense, ascending from 0). *)
 
-  val access :
-    t ->
-    Simtypes.mem_counters ->
-    core:int ->
-    socket:int ->
-    Simtypes.access_kind ->
-    int ->
-    int * Simtypes.trace_class
+  val access : t -> Simtypes.mem_counters -> core:int -> socket:int -> Simtypes.access_kind -> int -> int
   (** [access t cnt ~core ~socket kind line] charges one committed
-      access; returns (latency in cycles, service class). *)
+      access to [cnt], leaves its service class in [cnt.last_class] and
+      returns its latency in cycles. *)
 
   val txn_conflict : t -> core:int -> int -> bool
   (** Line is in modified state in another core's cache: the

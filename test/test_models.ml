@@ -377,7 +377,7 @@ module Simtypes = Ascy_mem.Simtypes
    fixed read/write/RMW walk over each pair from cores on three sockets,
    driven on the model directly, makes an LLC tag array hold one line of
    a slot after the other was filled, written back or invalidated there.
-   Every (latency, class) is pinned. *)
+   Every latency and class is pinned. *)
 let llc_alias = 131072
 
 let aliased_llc_trace model =
@@ -397,8 +397,8 @@ let aliased_llc_trace model =
               (0, Read, k); (2, Rmw, a); (13, Read, k); (13, Read, a); (0, Write, k); (1, Read, a);
             ]
           |> List.map (fun (core, kind, line) ->
-                 let lat, cls = M.access t cnt ~core ~socket:(core / cps) kind line in
-                 Printf.sprintf "%d:%s" lat (Simtypes.trace_class_name cls))
+                 let lat = M.access t cnt ~core ~socket:(core / cps) kind line in
+                 Printf.sprintf "%d:%s" lat (Simtypes.trace_class_name cnt.last_class))
           |> String.concat " "
           |> Printf.sprintf "%s/%d: %s" (Sim.model_name_of model) k)
         [ 0; 5; 4097; llc_alias - 1 ]
@@ -419,6 +419,84 @@ let test_aliased_llc_pins () =
   Alcotest.(check (list string))
     "mesi/moesi aliased-LLC walk" aliased_llc_expected
     (List.concat_map aliased_llc_trace [ mesi; moesi ])
+
+(* A seeded 100k-access R/W/RMW stream from every core, driven on the
+   model directly: half the accesses go to 64 hot lines all cores share,
+   a quarter to the 16 newest lines (one is created every 1000
+   accesses), a quarter anywhere among 150,000 lines, enough to alias
+   the private caches everywhere and the LLCs on the Opteron and T4-4;
+   only the first 4096 lines are warmed.  The digest is the sum of the
+   latencies, every counter and the bits of the energy. *)
+let stream_digest model platform =
+  match Cohmodel.instantiate model ~platform with
+  | Cohmodel.Inst ((module M), t) ->
+      let nlines = ref 0 in
+      let new_line () =
+        M.on_new_line t !nlines;
+        incr nlines
+      in
+      for _ = 1 to 150_000 do
+        new_line ()
+      done;
+      M.warm t ~nlines:4096;
+      let rng = Ascy_util.Xorshift.create 2015 in
+      let below = Ascy_util.Xorshift.below rng in
+      let cps = P.cores_per_socket platform in
+      let cnt = Simtypes.fresh_counters () in
+      let lat = ref 0 in
+      for i = 1 to 100_000 do
+        if i mod 1000 = 0 then new_line ();
+        let line =
+          match below 4 with
+          | 0 | 1 -> below 64
+          | 2 -> !nlines - 1 - below 16
+          | _ -> below !nlines
+        in
+        let core = below platform.P.cores in
+        let kind = match below 20 with 0 | 1 | 2 -> Sim.Rmw | 3 | 4 | 5 | 6 | 7 -> Sim.Write | _ -> Sim.Read in
+        lat := !lat + M.access t cnt ~core ~socket:(core / cps) kind line
+      done;
+      Printf.sprintf
+        "%s/%s: lat=%d acc=%d l1=%d llc=%d c2c=%d/%d rfetch=%d mem=%d rmw=%d st=%d e=%Ld"
+        (Sim.model_name_of model) platform.P.name !lat cnt.accesses cnt.l1 cnt.llc cnt.c2c_local
+        cnt.c2c_remote cnt.llc_remote cnt.mem cnt.rmw cnt.writes
+        (Int64.bits_of_float cnt.energy.nj)
+
+let stream_expected =
+  [
+    "mesi/Xeon20: lat=11987716 acc=0 l1=5901 llc=25751 c2c=14255/15763 rfetch=15802 mem=22528 rmw=15127 st=0 e=4694129458855855740";
+    "mesi/Opteron: lat=22407950 acc=0 l1=2575 llc=25407 c2c=3291/27169 rfetch=19040 mem=22518 rmw=15127 st=0 e=4694222706031825867";
+    "mesi/T4-4: lat=11388838 acc=0 l1=3764 llc=25117 c2c=6863/23422 rfetch=18289 mem=22545 rmw=15127 st=0 e=4694190221905675984";
+    "moesi/Xeon20: lat=13513524 acc=0 l1=6820 llc=801 c2c=32525/36041 rfetch=600 mem=23213 rmw=15127 st=0 e=4694946734868213720";
+    "moesi/Opteron: lat=29775863 acc=0 l1=2946 llc=548 c2c=7791/64664 rfetch=808 mem=23243 rmw=15127 st=0 e=4695154210135395133";
+    "moesi/T4-4: lat=13891115 acc=0 l1=4318 llc=628 c2c=16128/54935 rfetch=758 mem=23233 rmw=15127 st=0 e=4695080605562856499";
+  ]
+
+let test_stream_digest () =
+  Alcotest.(check (list string))
+    "mesi/moesi 100k-access stream" stream_expected
+    (List.concat_map
+       (fun model -> List.map (stream_digest model) [ P.xeon20; P.opteron; P.t44 ])
+       [ mesi; moesi ])
+
+(* A sharer set is one [int] mask, so a directory model takes at most
+   [Sys.int_size - 1] cores and names the platform it refuses. *)
+let test_too_many_cores_rejected () =
+  let wide cores = { P.xeon20 with P.name = "Wide" ^ string_of_int cores; cores; sockets = 1 } in
+  List.iter
+    (fun model ->
+      let cores = Sys.int_size - 1 in
+      (match Cohmodel.instantiate model ~platform:(wide cores) with
+      | Cohmodel.Inst ((module M), t) ->
+          M.on_new_line t 0;
+          ignore (M.access t (Simtypes.fresh_counters ()) ~core:(cores - 1) ~socket:0 Sim.Write 0 : int));
+      Alcotest.check_raises
+        (Sim.model_name_of model ^ ": int-size cores rejected")
+        (Invalid_argument
+           (Printf.sprintf "Coh_dir.create: Wide%d has %d cores; a sharer mask holds at most %d"
+              Sys.int_size Sys.int_size (Sys.int_size - 1)))
+        (fun () -> ignore (Cohmodel.instantiate model ~platform:(wide Sys.int_size))))
+    [ mesi; moesi ]
 
 (* A directory model's per-session state follows the lines a session
    installs, not the platform's cache sizes (xeon20's full tag arrays
@@ -465,4 +543,6 @@ let suite =
     Alcotest.test_case "directory models pinned" `Quick test_directory_pins;
     Alcotest.test_case "directory models pinned, aliased LLC" `Quick test_aliased_llc_pins;
     Alcotest.test_case "directory session memory bounded" `Quick test_session_memory_bound;
+    Alcotest.test_case "directory models pinned, 100k-access stream" `Quick test_stream_digest;
+    Alcotest.test_case "directory rejects int-size core counts" `Quick test_too_many_cores_rejected;
   ]

@@ -6,19 +6,20 @@ module Sim = Ascy_mem.Sim
 module Mem = Ascy_mem.Sim.Mem
 module P = Ascy_platform.Platform
 
-let run_counter ?(faults = []) ~platform ~nthreads ~increments () =
-  Sim.with_sim ~platform ~nthreads (fun sim ->
+(* [increments] CAS increments of the shared counter [c]. *)
+let counter_body c ~increments _ () =
+  for _ = 1 to increments do
+    let rec cas_incr () =
+      let v = Mem.get c in
+      if not (Mem.cas c v (v + 1)) then cas_incr ()
+    in
+    cas_incr ()
+  done
+
+let run_counter ?(faults = []) ?model ~platform ~nthreads ~increments () =
+  Sim.with_sim ?model ~platform ~nthreads (fun sim ->
       let c = Mem.make_fresh 0 in
-      let body _ () =
-        for _ = 1 to increments do
-          let rec cas_incr () =
-            let v = Mem.get c in
-            if not (Mem.cas c v (v + 1)) then cas_incr ()
-          in
-          cas_incr ()
-        done
-      in
-      let makespan = Sim.run ~faults sim (Array.init nthreads body) in
+      let makespan = Sim.run ~faults sim (Array.init nthreads (counter_body c ~increments)) in
       (Mem.get c, makespan, Sim.stats sim ~makespan, sim))
 
 let test_atomic_counter () =
@@ -133,10 +134,8 @@ let test_thread_failure_propagates () =
    behavioural contract of the default scheduling policy: any change to
    how [Sim.run] picks the next thread, applies faults or skips stalls
    shows up here. *)
-let pinned_counter ?faults ~nthreads ~increments () =
-  let _, makespan, st, sim =
-    run_counter ?faults ~platform:P.xeon20 ~nthreads ~increments ()
-  in
+let pinned_counter ?faults ?model ?(platform = P.xeon20) ~nthreads ~increments () =
+  let _, makespan, st, sim = run_counter ?faults ?model ~platform ~nthreads ~increments () in
   ( [ makespan; Sim.decisions sim; st.Sim.accesses; st.Sim.transfers_local; st.Sim.transfers_remote ],
     Sim.crashed_tids sim )
 
@@ -163,6 +162,64 @@ let test_free_running_pinned () =
     (pinned_counter ~nthreads:4 ~increments:30
        ~faults:(List.init 4 (fun tid -> fault 20 tid (Sim.F_stall (500 + (200 * tid))))) ())
     ([ 1396; 1179; 254; 10; 0 ], [])
+
+(* The same contract at the paper's widest thread counts, where the
+   free-running chooser has the most threads to order. *)
+let test_free_running_pinned_wide () =
+  check_pinned "40 threads, Xeon40"
+    (pinned_counter ~platform:P.xeon40 ~nthreads:40 ~increments:30 ())
+    ([ 96500; 18566; 18526; 1893; 7365 ], []);
+  check_pinned "48 threads, Opteron, moesi"
+    (pinned_counter ~model:(Sim.model_of_name "moesi") ~platform:P.opteron ~nthreads:48
+       ~increments:25 ())
+    ([ 376753; 32560; 32512; 404; 31854 ], []);
+  check_pinned "64 threads, T4-4"
+    (pinned_counter ~platform:P.t44 ~nthreads:64 ~increments:20 ())
+    ([ 53592; 28032; 27968; 1920; 12024 ], [])
+
+(* The tid a fault-free 20-thread counter run commits at decision [d]:
+   the runnable thread with the smallest clock there. *)
+let chosen_at d =
+  Sim.with_sim ~platform:P.xeon20 ~nthreads:20 (fun sim ->
+      let c = Mem.make_fresh 0 in
+      let got = ref (-1) in
+      let ignore2 _ _ = () in
+      Sim.set_observer sim
+        (Some
+           {
+             Sim.obs_access = (fun tid _ _ _ -> if Sim.decisions sim = d + 1 then got := tid);
+             obs_rmw = ignore2;
+             obs_event = ignore2;
+             obs_op_start = ignore2;
+             obs_op_end = ignore2;
+           });
+      ignore (Sim.run sim (Array.init 20 (counter_body c ~increments:40)));
+      !got)
+
+(* Fault plans on 20 threads that take threads out of the free-running
+   order and put them back: overlapping stalls, a crash of the thread
+   the clock would pick next, and NUMA slow-down windows. *)
+let test_free_running_faults_pinned () =
+  let fault at tid f = { Sim.fe_at = at; fe_tid = tid; fe_fault = f } in
+  check_pinned "a stall expires while another thread is stalled"
+    (pinned_counter ~nthreads:20 ~increments:40
+       ~faults:[ fault 100 3 (Sim.F_stall 400); fault 150 9 (Sim.F_stall 1200) ]
+       ())
+    ([ 52058; 7612; 7592; 2054; 1660 ], []);
+  let victim = chosen_at 700 in
+  Alcotest.(check int) "smallest-clock thread at decision 700" 11 victim;
+  check_pinned "crash of the smallest-clock thread"
+    (pinned_counter ~nthreads:20 ~increments:40 ~faults:[ fault 700 victim Sim.F_crash ] ())
+    ([ 54390; 8364; 8344; 2326; 1843 ], [ 11 ]);
+  check_pinned "numa-slow windows"
+    (pinned_counter ~nthreads:20 ~increments:40
+       ~faults:
+         [
+           fault 80 1 (Sim.F_numa_slow { factor = 2.5; window = 900 });
+           fault 400 0 (Sim.F_numa_slow { factor = 1.5; window = 300 });
+         ]
+       ())
+    ([ 58418; 9066; 9046; 2430; 2085 ], [])
 
 (* Decisions are taken at the yield points: a re-pick of the running
    thread runs on without an effect, another choice suspends it, and a
@@ -384,6 +441,9 @@ let suite =
     Alcotest.test_case "work() advances the clock" `Quick test_work_charges_cycles;
     Alcotest.test_case "thread exceptions propagate" `Quick test_thread_failure_propagates;
     Alcotest.test_case "free-running runs are pinned" `Quick test_free_running_pinned;
+    Alcotest.test_case "free-running runs are pinned, 40-64 threads" `Quick
+      test_free_running_pinned_wide;
+    Alcotest.test_case "free-running fault plans are pinned" `Quick test_free_running_faults_pinned;
     Alcotest.test_case "controlled: one chooser call per decision" `Quick
       test_controlled_one_call_per_decision;
     Alcotest.test_case "controlled: chooser exceptions leave unwrapped" `Quick

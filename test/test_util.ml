@@ -66,42 +66,6 @@ let test_vec_sort () =
   Vec.sort compare v;
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Array.to_list (Vec.to_array v))
 
-let test_bits_basic () =
-  let b = Bits.create 100 in
-  Bits.add b 0;
-  Bits.add b 63;
-  Bits.add b 64;
-  Bits.add b 99;
-  Alcotest.(check bool) "mem 63" true (Bits.mem b 63);
-  Alcotest.(check bool) "mem 64" true (Bits.mem b 64);
-  Alcotest.(check bool) "not mem 1" false (Bits.mem b 1);
-  Alcotest.(check int) "cardinal" 4 (Bits.cardinal b);
-  Bits.remove b 63;
-  Alcotest.(check bool) "removed" false (Bits.mem b 63);
-  Alcotest.(check int) "choose smallest" 0 (Bits.choose b);
-  Bits.clear b;
-  Alcotest.(check bool) "empty after clear" true (Bits.is_empty b)
-
-let prop_bits_model =
-  QCheck.Test.make ~count:200 ~name:"bitset agrees with a list model"
-    QCheck.(list (pair bool (int_bound 199)))
-    (fun ops ->
-      let b = Ascy_util.Bits.create 200 in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (add, i) ->
-          if add then begin
-            Ascy_util.Bits.add b i;
-            Hashtbl.replace model i ()
-          end
-          else begin
-            Ascy_util.Bits.remove b i;
-            Hashtbl.remove model i
-          end)
-        ops;
-      Ascy_util.Bits.cardinal b = Hashtbl.length model
-      && Hashtbl.fold (fun i () acc -> acc && Ascy_util.Bits.mem b i) model true)
-
 let test_histogram_percentiles () =
   let h = Histogram.create () in
   for i = 1 to 100 do
@@ -214,8 +178,6 @@ let suite =
     Alcotest.test_case "xorshift below uniformity" `Quick test_xorshift_below_roughly_uniform;
     Alcotest.test_case "vec push/get/set" `Quick test_vec_push_get;
     Alcotest.test_case "vec sort" `Quick test_vec_sort;
-    Alcotest.test_case "bits basic" `Quick test_bits_basic;
-    QCheck_alcotest.to_alcotest prop_bits_model;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "histogram nearest-rank" `Quick test_histogram_nearest_rank;
     Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
