@@ -21,8 +21,8 @@
    The wedge is then serialized as a FAULT_*.json counterexample
    (Replay schema v2: schedule prefix + fault plan in the same decision
    coordinates) and replayed bit-for-bit through Sct_run's one replay
-   reader, the same loop `bin/ascy_chaos` and the CI chaos job run over
-   the whole registry.
+   reader, the same loop `ascy_explore -policy chaos` and the CI chaos
+   job run over the whole registry.
 
    Run with: dune exec examples/fault_demo.exe *)
 
@@ -74,12 +74,8 @@ let () =
       Printf.printf "serializing the lock-holder wedge to %s ...\n" file;
       Sct.save_finding ~faults ~watchdog ~check:false ~path:file ~prefix:[||] ~violation
         (Fault.chaos_spec "ll-lazy");
-      let _, _, expected, results = Sct.replay_file ~times:2 file in
-      let ok =
-        match expected with
-        | Some v -> List.for_all (fun r -> r = Some v) results
-        | None -> false
-      in
+      let _, _, expected, results = Sct.replay_file file in
+      let ok = Sct.reproduces ~expected results in
       Printf.printf "replay x2: %s\n" (if ok then "reproduces bit-for-bit" else "DOES NOT REPRODUCE");
       Sys.remove file;
       if not ok then exit 1

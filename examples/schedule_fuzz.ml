@@ -96,18 +96,17 @@ let () =
       prerr_endline "FATAL: SCT failed to break the asynchronized list";
       exit 1);
   Printf.printf "\nReplaying %s twice (determinism check):\n" file;
-  let _, _, expected, results = Sct.replay_file ~times:2 file in
+  let _, _, expected, results = Sct.replay_file file in
   List.iteri
     (fun i r ->
       Printf.printf "replay %d: %s\n" (i + 1)
         (match r with Some v -> v | None -> "no violation (!)"))
     results;
-  (match (expected, results) with
-  | Some v, [ Some a; Some b ] when a = v && b = v ->
-      print_endline "counterexample reproduces bit-for-bit"
-  | _ ->
-      prerr_endline "FATAL: counterexample did not reproduce deterministically";
-      exit 1);
+  if Sct.reproduces ~expected results then print_endline "counterexample reproduces bit-for-bit"
+  else begin
+    prerr_endline "FATAL: counterexample did not reproduce deterministically";
+    exit 1
+  end;
   print_endline "\nExploring the lazy list under the same bounds (expected: clean):";
   (match hunt "ll-lazy" with
   | None, report when report.Explorer.complete ->

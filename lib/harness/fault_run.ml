@@ -22,7 +22,7 @@
     lock-free ones) and observe whether any placement wedges the
     survivors — the {e observed} progress class, checked against the
     declared Table-1 guarantee ({!Ascylib.Registry.entry.progress}) by
-    [bin/ascy_chaos] and CI. *)
+    the [chaos] policy of [bin/ascy_explore] and CI. *)
 
 module Sim = Ascy_mem.Sim
 module Scheduler = Ascy_sct.Scheduler
@@ -47,6 +47,11 @@ let plan_str faults = String.concat " " (List.map fault_str faults)
 (** The chaos watchdog window: decisions without any completed operation
     before a run is declared wedged. *)
 let default_watchdog = 2_000
+
+(** A finite stall's length in decisions, and the watchdog its run is
+    armed with: long enough that the stall itself never trips it. *)
+let stall_window = 500
+let stall_watchdog = default_watchdog + (2 * stall_window)
 
 (** [run_spec ?on_step ?watchdog ?check ?model ~faults spec] runs the
     spec once under the controlled default policy with [faults] injected
@@ -120,7 +125,7 @@ let matches r =
     it; observe.  For declared-blocking designs the sweep stops at the
     first wedge (the expected outcome); declared-non-blocking designs
     must survive every placement, so all are run. *)
-let classify ?(watchdog = default_watchdog) ?model (entry : Registry.entry) =
+let classify ?model (entry : Registry.entry) =
   let spec = chaos_spec entry.Registry.name in
   let victim = 0 in
   let declared = entry.Registry.progress in
@@ -138,7 +143,7 @@ let classify ?(watchdog = default_watchdog) ?model (entry : Registry.entry) =
        (fun d ->
          let faults = [ { Sim.fe_at = d; fe_tid = victim; fe_fault = Sim.F_crash } ] in
          incr probes;
-         match run_spec ~watchdog ~check:check_crash ?model ~faults spec with
+         match run_spec ~check:check_crash ?model ~faults spec with
          | { Sct_run.violation = None; _ } -> ()
          | { wedged = true; violation = Some v } ->
              witness := Some (faults, v);
@@ -149,12 +154,12 @@ let classify ?(watchdog = default_watchdog) ?model (entry : Registry.entry) =
   let observed = if !witness <> None then Ascy.Blocking else Ascy.Non_blocking in
   (* a stall is finite: everyone must finish, and with no corpse at the
      end the exact oracles are sound for every non-asynchronized entry *)
-  let stall = 500 (* decisions *) in
   let stall_at = match cands with d :: _ -> d | [] -> 1 in
-  let stall_plan = [ { Sim.fe_at = stall_at; fe_tid = victim; fe_fault = Sim.F_stall stall } ] in
+  let stall_plan =
+    [ { Sim.fe_at = stall_at; fe_tid = victim; fe_fault = Sim.F_stall stall_window } ]
+  in
   let stall_out =
-    run_spec ~watchdog:(watchdog + (2 * stall))
-      ~check:(not entry.Registry.asynchronized)
+    run_spec ~watchdog:stall_watchdog ~check:(not entry.Registry.asynchronized)
       ?model ~faults:stall_plan spec
   in
   {
@@ -167,3 +172,31 @@ let classify ?(watchdog = default_watchdog) ?model (entry : Registry.entry) =
     stall_violation = stall_out.Sct_run.violation;
     stall_plan;
   }
+
+(** A concrete failing run, as a chaos counterexample file stores it:
+    the fault plan, its violation, and the oracles and watchdog it ran
+    under. *)
+type finding = { plan : Sim.fault_event list; violation : string; oracles : bool; watchdog : int }
+
+(** The run a mismatched report serializes: the wedge witness (replayed
+    without post-run oracles), else the first crash that corrupted the
+    structure, else the failed stall.  [None] for a report that matches
+    its declaration, and for a mismatch without a concrete run — a
+    declared-blocking design that no crash placement wedged. *)
+let finding r =
+  if matches r then None
+  else
+    match (r.witness, r.oracle_failures, r.stall_violation) with
+    | Some (plan, violation), _, _ ->
+        Some { plan; violation; oracles = false; watchdog = default_watchdog }
+    | None, (plan, violation) :: _, _ ->
+        Some { plan; violation; oracles = true; watchdog = default_watchdog }
+    | None, [], Some violation ->
+        Some { plan = r.stall_plan; violation; oracles = true; watchdog = stall_watchdog }
+    | None, [], None -> None
+
+(** Write [f], found on algorithm [name], to [path] as a replayable
+    chaos finding (Replay schema v2). *)
+let save_finding ?model ~path name f =
+  Sct_run.save_finding ~faults:f.plan ~watchdog:f.watchdog ~check:f.oracles ?model ~path
+    ~prefix:[||] ~violation:f.violation (chaos_spec name)

@@ -451,14 +451,14 @@ let save_finding ?(faults = []) ?(races = false) ?watchdog ?(check = true)
     ()
 
 (** Load a counterexample file — an SCT finding or a chaos finding —
-    and replay it [times] times.  Returns the spec, the fault plan, the
-    stored expected violation and each replay's violation (all identical
-    when the reproduction is deterministic).  A file with a recorded
-    [watchdog] replays under the watchdog; one without replays under the
-    default SCT step budget ({!Ascy_sct.Explorer.default_bounds}).
+    and replay it twice.  Returns the spec, the fault plan, the stored
+    expected violation and each replay's violation ({!reproduces} judges
+    them).  A file with a recorded [watchdog] replays under the
+    watchdog; one without replays under the default SCT step budget
+    ({!Ascy_sct.Explorer.default_bounds}).
     Raises {!Ascy_sct.Replay.Bad_schedule} on any file that does not
     describe a run this build can replay. *)
-let replay_file ?(times = 2) path =
+let replay_file path =
   let bad msg = raise (Replay.Bad_schedule msg) in
   let prefix, faults, meta = Replay.load path in
   let spec = spec_of_meta meta in
@@ -499,4 +499,14 @@ let replay_file ?(times = 2) path =
         check_prefix ~faults ~races ~model maker spec
           ~max_steps:Explorer.default_bounds.Explorer.max_steps prefix
   in
-  (spec, faults, expected, List.init times (fun _ -> replay ()))
+  (spec, faults, expected, List.init 2 (fun _ -> replay ()))
+
+(** Does a replay reproduce its file?  Every replay reports the same
+    violation, it is a violation, and it is the stored one when the file
+    stores one. *)
+let reproduces ~expected = function
+  | [] -> false
+  | first :: _ as results ->
+      first <> None
+      && List.for_all (( = ) first) results
+      && match expected with Some _ -> first = expected | None -> true

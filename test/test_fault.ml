@@ -6,8 +6,9 @@
    SSMEM's stuck-epoch detection and detach path under a crashed thread;
    the Sct_run crash oracle's injected-kill exemption; Replay schema v2
    round-trips (and v1 output staying fault-free byte-for-byte);
-   Fault_run's classify pipeline through Sct_run's one replay writer
-   and reader; and replay files written by earlier builds, plus
+   Fault_run's classify pipeline and its choice of the failing run to
+   serialize, through Sct_run's one replay writer, reader and
+   reproduce judgment; and replay files written by earlier builds, plus
    malformed ones, through that reader. *)
 
 module Sim = Ascy_mem.Sim
@@ -410,7 +411,7 @@ let test_classify_lock_based_wedges_and_replays () =
       let path = Filename.temp_file "fault_ll_lazy" ".json" in
       Sct_run.save_finding ~faults ~watchdog:Fault.default_watchdog ~check:false ~path
         ~prefix:[||] ~violation (Fault.chaos_spec "ll-lazy");
-      let _, faults', expected, results = Sct_run.replay_file ~times:2 path in
+      let _, faults', expected, results = Sct_run.replay_file path in
       Sys.remove path;
       Alcotest.(check bool) "plan round-trips" true (faults = faults');
       Alcotest.(check (option string)) "expected violation stored" (Some violation) expected;
@@ -428,6 +429,45 @@ let test_classify_lock_free_survives () =
   Alcotest.(check bool) "matches its declaration" true (Fault.matches r);
   Alcotest.(check bool) "no oracle failures" true (r.Fault.oracle_failures = []);
   Alcotest.(check bool) "several crash placements probed" true (r.Fault.crash_probes > 3)
+
+(* A mismatch serializes its concrete failing run: with ll-lazy's
+   declaration flipped to non-blocking, the wedge witness, replayed
+   without post-run oracles; a declared-blocking design that never
+   wedged has nothing concrete to write, and a match writes nothing. *)
+let test_mismatch_finding_replays () =
+  let flip r progress = { r with Fault.entry = { r.Fault.entry with Registry.progress } } in
+  let lazy_r = Fault.classify (Registry.by_name "ll-lazy") in
+  Alcotest.(check bool) "a match has no finding" true (Fault.finding lazy_r = None);
+  let harris_r = Fault.classify (Registry.by_name "ll-harris") in
+  Alcotest.(check bool)
+    "an unwedged blocking declaration has no concrete run" true
+    (Fault.finding (flip harris_r Ascy.Blocking) = None);
+  match (Fault.finding (flip lazy_r Ascy.Non_blocking), lazy_r.Fault.witness) with
+  | None, _ | _, None -> Alcotest.fail "no finding for a wedged non-blocking declaration"
+  | Some f, Some (plan, violation) ->
+      Alcotest.(check bool) "the witness plan" true (f.Fault.plan = plan);
+      Alcotest.(check string) "the witness violation" violation f.Fault.violation;
+      Alcotest.(check bool) "replayed without oracles" false f.Fault.oracles;
+      Alcotest.(check int) "under the default watchdog" Fault.default_watchdog f.Fault.watchdog;
+      let path = Filename.temp_file "mismatch_ll_lazy" ".json" in
+      Fault.save_finding ~path "ll-lazy" f;
+      let _, plan', expected, results = Sct_run.replay_file path in
+      Sys.remove path;
+      Alcotest.(check bool) "plan round-trips" true (plan' = plan);
+      Alcotest.(check bool) "reproduces" true (Sct_run.reproduces ~expected results)
+
+(* The one judgment of a replay: every replay reports the same
+   violation, it is one, and it is the stored one when one is stored. *)
+let test_reproduces () =
+  let check name want expected results =
+    Alcotest.(check bool) name want (Sct_run.reproduces ~expected results)
+  in
+  check "stored and reproduced" true (Some "v") [ Some "v"; Some "v" ];
+  check "reproduced, none stored" true None [ Some "v"; Some "v" ];
+  check "no violation" false None [ None; None ];
+  check "replays disagree" false None [ Some "v"; Some "w" ];
+  check "not the stored one" false (Some "w") [ Some "v"; Some "v" ];
+  check "no replays" false (Some "v") []
 
 (* ---------------- replay files across builds + malformed ones ---- *)
 
@@ -456,7 +496,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let test_fixtures_replay () =
   List.iter
     (fun name ->
-      let _, _, expected, results = Sct_run.replay_file ~times:2 (fixture name) in
+      let _, _, expected, results = Sct_run.replay_file (fixture name) in
       match expected with
       | None -> Alcotest.fail (name ^ ": no stored violation")
       | Some v ->
@@ -543,6 +583,9 @@ let suite =
       test_classify_lock_based_wedges_and_replays;
     Alcotest.test_case "classify: lock-free survives every placement" `Quick
       test_classify_lock_free_survives;
+    Alcotest.test_case "classify: a mismatch serializes a replayable run" `Quick
+      test_mismatch_finding_replays;
+    Alcotest.test_case "replay: one reproduce judgment" `Quick test_reproduces;
     Alcotest.test_case "replay files from earlier builds reproduce" `Quick test_fixtures_replay;
     Alcotest.test_case "malformed replay files are bad schedules" `Quick
       test_malformed_replay_files;

@@ -135,7 +135,7 @@ let test_replay_rearms_model () =
       Alcotest.(check string)
         "non-default model recorded in meta" "flat"
         (Sim.model_name_of (Engine.model_of_meta meta));
-      let _, _, expected, results = Sct.replay_file ~times:2 path in
+      let _, _, expected, results = Sct.replay_file path in
       Alcotest.(check bool)
         "replay reproduces under the recorded model" true
         (match (expected, results) with

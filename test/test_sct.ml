@@ -58,7 +58,7 @@ let test_seq_list_counterexample () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Sct.save_finding ~path ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation spec;
-          let _, _, expected, results = Sct.replay_file ~times:2 path in
+          let _, _, expected, results = Sct.replay_file path in
           Alcotest.(check (option string))
             "stored violation matches the finding" (Some f.Sct.min_violation) expected;
           Alcotest.(check (list (option string)))
@@ -175,7 +175,7 @@ let policy_conformance policy () =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Sct.save_finding ~path ~prefix:f.Sct.minimized ~violation:f.Sct.min_violation spec;
-          let _, _, expected, results = Sct.replay_file ~times:2 path in
+          let _, _, expected, results = Sct.replay_file path in
           Alcotest.(check (option string))
             "stored violation matches the finding" (Some f.Sct.min_violation) expected;
           Alcotest.(check (list (option string)))
