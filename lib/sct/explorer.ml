@@ -387,7 +387,8 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
 type policy =
   | Exhaustive
   | Random of { seed : int; schedules : int }
-      (** uniform choice among non-spinning runnable threads *)
+      (** uniform choice among the runnable threads
+          ({!Scheduler.uniform_chooser}) *)
   | Pct of { seed : int; depth : int; schedules : int }
       (** priority-based with [depth - 1] change points
           ({!Scheduler.pct_chooser}); finds bugs of depth [depth] with

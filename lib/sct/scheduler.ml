@@ -16,6 +16,11 @@
       {e delay} cost of a non-default choice (its index in that order)
       and the {e preemption} cost (1 for switching away from a runnable
       thread mid-slice);
+    - the randomized choosers of the sampling policies (uniform, sticky,
+      PCT), which choose from the whole runnable set; their only
+      fairness device is PCT's priority aging ({!stall_limit}), since a
+      uniform or sticky draw leaves a spinning thread with positive
+      probability at every decision;
     - prefix schedulers ([follow prefix, then default policy]) and the
       run-length-encoded chunk form used to serialize schedules. *)
 
@@ -118,133 +123,43 @@ let delay_cost ~prev ~run_len runnable tid =
 (* Randomized choosers (uniform / sticky / PCT)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Online spin detection, the scheduling-time analogue of the stutter
-   rule of DPOR's conflict index ({!Dpor.step}): a thread whose next
-   action re-reads a line it already read, unchanged since, is spinning and cannot make progress
-   by being scheduled.  Randomized policies need this because, unlike
-   the slice-rotating default policy, they are not inherently fair: a
-   uniform or priority-driven chooser happily feeds a spin loop forever
-   while the lock holder starves, turning every lock-based algorithm
-   into a bogus step-limit "livelock".  Demoting spinners (preferring
-   threads whose next step can change state) restores the fairness the
-   step-limit oracle assumes, without forbidding any genuinely
-   interesting interleaving: scheduling a stutter read commutes with
-   everything. *)
-module Spin = struct
-  type t = {
-    versions : (int, int) Hashtbl.t;  (* line -> write serial *)
-    last_read : (int, int * int * int) Hashtbl.t;
-        (* tid -> (line, version seen, consecutive reads of it) *)
-  }
-
-  let create () = { versions = Hashtbl.create 64; last_read = Hashtbl.create 8 }
-
-  let version t line = try Hashtbl.find t.versions line with Not_found -> 0
-
-  (* A thread counts as spinning only once it has *performed* two
-     consecutive reads of the same unchanged line and is about to issue
-     a third: algorithms legitimately read a location twice in a row
-     (validate-then-use), and demoting on the first repeat starves such
-     a thread forever if everyone else is parked on a line it guards.
-     Backoff/work steps between the reads do not reset the count — a
-     TTAS waiter alternates read and backoff, and it is exactly the
-     thread this detector exists to demote. *)
-  let spin_threshold = 2
-
-  (** Would resuming [tid], whose lookahead action is [act], merely
-      re-read an unchanged line it has already re-read? *)
-  let stutters t tid act =
-    match act with
-    | Sim.A_access (Sim.Read, line) -> (
-        match Hashtbl.find_opt t.last_read tid with
-        | Some (l, v, n) -> l = line && v = version t line && n >= spin_threshold
-        | None -> false)
-    | _ -> false
-
-  (** Record the committed choice: [tid] was resumed to perform [act]. *)
-  let note t tid act =
-    match act with
-    | Sim.A_access (Sim.Read, line) ->
-        let v = version t line in
-        let n =
-          match Hashtbl.find_opt t.last_read tid with
-          | Some (l, v', n) when l = line && v' = v -> n + 1
-          | _ -> 1
-        in
-        Hashtbl.replace t.last_read tid (line, v, n)
-    | Sim.A_access ((Sim.Write | Sim.Rmw), line) ->
-        Hashtbl.replace t.versions line (version t line + 1);
-        Hashtbl.remove t.last_read tid
-    | Sim.A_kcas lines ->
-        (* a k-CAS commit writes every touched line: spinners parked on
-           any of them must be re-promoted *)
-        Array.iter (fun line -> Hashtbl.replace t.versions line (version t line + 1)) lines;
-        Hashtbl.remove t.last_read tid
-    | _ -> ()  (* work/backoff steps keep the read streak alive *)
-end
-
-(* Indices of runnable threads whose next step is not a spin-stutter;
-   all of them when everyone spins (a genuine livelock — any choice is
-   as good as any other and the step limit will trip). *)
-let live_indices spin (runnable : Sim.runnable) =
-  let n = Sim.runnable_count runnable in
-  let live = ref [] in
-  for i = n - 1 downto 0 do
-    if not (Spin.stutters spin (Sim.runnable_tid runnable i) (Sim.runnable_action runnable i))
-    then live := i :: !live
-  done;
-  match !live with [] -> List.init n Fun.id | l -> l
-
-(** [uniform_chooser rng] picks uniformly among the non-spinning
-    runnable threads at every decision.  Deterministic per [rng]
-    stream. *)
+(** [uniform_chooser rng] picks uniformly among the runnable threads at
+    every decision.  Deterministic per [rng] stream. *)
 let uniform_chooser rng : Sim.scheduler =
-  let spin = Spin.create () in
-  fun runnable ->
-    let cands = live_indices spin runnable in
-    let i = List.nth cands (Ascy_util.Xorshift.below rng (List.length cands)) in
-    let tid = Sim.runnable_tid runnable i in
-    Spin.note spin tid (Sim.runnable_action runnable i);
-    tid
+ fun runnable ->
+  Sim.runnable_tid runnable (Ascy_util.Xorshift.below rng (Sim.runnable_count runnable))
 
 (** [sticky_chooser rng ~p_continue] continues the previous thread with
-    probability [p_continue] (when it is runnable and not spinning) and
-    otherwise picks uniformly among the other non-spinning threads —
-    one point in the swarm's temperament space: high [p_continue]
-    yields long quasi-sequential runs, low values yield churn. *)
+    probability [p_continue] (when it is runnable) and otherwise picks
+    uniformly among the other runnable threads — one point in the
+    swarm's temperament space: high [p_continue] yields long
+    quasi-sequential runs, low values yield churn.  A spinning thread is
+    left with probability [1 - p_continue] at every decision, so no
+    thread starves. *)
 let sticky_chooser rng ~p_continue : Sim.scheduler =
-  let spin = Spin.create () in
   let st = fresh_state () in
   fun runnable ->
-    let cands = live_indices spin runnable in
-    let prev_live =
-      st.prev >= 0
-      && List.exists (fun i -> Sim.runnable_tid runnable i = st.prev) cands
-    in
+    let n = Sim.runnable_count runnable in
+    let prev_idx = if st.prev >= 0 then index_of st.prev runnable else -1 in
     let i =
-      if prev_live && Ascy_util.Xorshift.bool rng p_continue then
-        index_of st.prev runnable
+      if prev_idx < 0 then Ascy_util.Xorshift.below rng n
+      else if Ascy_util.Xorshift.bool rng p_continue then prev_idx
       else begin
-        let others =
-          if not prev_live then cands
-          else
-            match List.filter (fun i -> Sim.runnable_tid runnable i <> st.prev) cands with
-            | [] -> cands
-            | l -> l
-        in
-        List.nth others (Ascy_util.Xorshift.below rng (List.length others))
+        (* the [j]-th runnable thread other than [prev], or [prev] itself
+           when it runs alone *)
+        let j = Ascy_util.Xorshift.below rng (max 1 (n - 1)) in
+        if n = 1 then prev_idx else if j < prev_idx then j else j + 1
       end
     in
     let tid = Sim.runnable_tid runnable i in
-    Spin.note spin tid (Sim.runnable_action runnable i);
     note st tid;
     tid
 
 (** [pct_chooser rng ~depth ~length] — probabilistic concurrency
     testing (Burckhardt et al., ASPLOS'10).  Each thread gets a random
     distinct initial priority; the scheduler always runs the
-    highest-priority non-spinning runnable thread; at [depth - 1]
-    change points drawn uniformly over the estimated run length, the
+    highest-priority runnable thread; at [depth - 1] change points
+    drawn uniformly over the estimated run length, the
     currently-running thread's priority drops below everyone's.  A bug
     whose manifestation needs [depth] ordering constraints is found
     with probability >= 1/(n·k^(d-1)) per schedule — [length] is the
@@ -256,24 +171,21 @@ let sticky_chooser rng ~p_continue : Sim.scheduler =
     priority inversions), so {!Explorer} does not additionally bound
     PCT runs.
 
-    Strict priorities need one liveness backstop beyond {!Spin}: spin
-    demotion only catches read-only wait loops, not {e effect-ful}
-    spins — a lock/validate/unlock retry or a failed-CAS loop writes on
-    every iteration and is indistinguishable from progress to any local
-    detector, so the top-priority thread can monopolize the scheduler
-    until the step-limit oracle reports a bogus livelock (observed on
-    sl-herlihy's marked-node retry and bst-tk's version-lock retry).
-    The backstop is priority aging: a thread given [stall_limit]
-    consecutive decisions while others are runnable drops below every
-    other priority — an off-budget change point, as in fair-PCT
-    implementations.  Legit monopolies (a thread running its whole
-    script undisturbed) are an order of magnitude shorter in these
+    Strict priorities need a liveness backstop: a top-priority thread
+    spinning on a lock, retrying a failed CAS or re-validating a marked
+    node would run until the step-limit oracle reports a bogus
+    livelock while the thread it waits for never gets a decision
+    (observed on sl-herlihy's marked-node retry and bst-tk's
+    version-lock retry).  The backstop is priority aging: a thread given
+    [stall_limit] consecutive decisions while others are runnable drops
+    below every other priority — an off-budget change point, as in
+    fair-PCT implementations.  Legit monopolies (a thread running its
+    whole script undisturbed) are an order of magnitude shorter in these
     specs, and a true global livelock still trips the step limit:
     rotation by itself creates no progress. *)
 let stall_limit = 1_000
 
 let pct_chooser rng ~depth ~length : Sim.scheduler =
-  let spin = Spin.create () in
   let prio : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let inited = ref false in
   let change =
@@ -321,16 +233,13 @@ let pct_chooser rng ~depth ~length : Sim.scheduler =
       Hashtbl.replace prio !last !floor;
       mono := 0
     end;
-    let cands = live_indices spin runnable in
     let pr i = try Hashtbl.find prio (Sim.runnable_tid runnable i) with Not_found -> -1 in
-    let best =
-      List.fold_left
-        (fun best i -> match best with Some b when pr b >= pr i -> best | _ -> Some i)
-        None cands
-    in
-    let i = Option.get best in
-    let tid = Sim.runnable_tid runnable i in
-    Spin.note spin tid (Sim.runnable_action runnable i);
+    (* the first runnable thread of the highest priority *)
+    let best = ref 0 in
+    for i = 1 to Sim.runnable_count runnable - 1 do
+      if pr i > pr !best then best := i
+    done;
+    let tid = Sim.runnable_tid runnable !best in
     if tid = !last then incr mono else mono := 1;
     last := tid;
     tid

@@ -140,17 +140,9 @@ let test_schedule_file_roundtrip () =
 (* Cross-policy conformance                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The 3-thread adversarial workload of examples/schedule_fuzz — the
-   spec behind the ll-lazy "2099 schedules" exhaustive pin. *)
-let fuzz name =
-  Sct.mk_spec ~name ~initial:[ 2 ]
-    ~script:
-      [|
-        [| (Sct.Insert, 1); (Sct.Remove, 2); (Sct.Insert, 3) |];
-        [| (Sct.Insert, 1); (Sct.Insert, 2); (Sct.Remove, 3) |];
-        [| (Sct.Remove, 1); (Sct.Insert, 2) |];
-      |]
-    ()
+(* The 3-thread adversarial workload the binaries explore — the spec
+   behind the ll-lazy "2099 schedules" exhaustive pin. *)
+let fuzz = Sct.adversarial_spec
 
 (* Every randomized policy must find the known seq-list violation,
    push it through the same minimize/serialize pipeline, and replay it
@@ -198,45 +190,54 @@ let test_policy_deterministic () =
   Alcotest.(check (array int)) "same schedule" s1 s2;
   Alcotest.(check (array int)) "same minimized prefix" m1 m2
 
-(* The lazy list stays clean under a random budget as large as the
-   exhaustive pin (2099 schedules on this very spec): sampling finds
-   no false positives on a correct lock-based algorithm — this is the
-   regression test for the scheduler's spin-fairness (an unfair random
-   chooser starves lock holders into bogus step-limit verdicts). *)
-let test_lazy_clean_under_random_budget () =
-  let policy = Explorer.Random { seed = 1; schedules = 2099 } in
+(* [name] explores the fuzz workload under [policy] without a finding
+   and runs [schedules] schedules (the probe plus the full budget);
+   sampling never proves exhaustion. *)
+let clean_under policy ~schedules name =
   let finding, report =
-    Sct.explore ~model:(Ascy_mem.Sim.model_of_name "flat") ~policy (fuzz "ll-lazy")
+    Sct.explore ~model:(Ascy_mem.Sim.model_of_name "flat") ~policy (fuzz name)
   in
   (match finding with
-  | Some f -> Alcotest.fail ("ll-lazy violated under random sampling: " ^ f.Sct.min_violation)
+  | Some f ->
+      Alcotest.fail
+        (Printf.sprintf "%s violated under %s: %s" name (Explorer.policy_name policy)
+           f.Sct.min_violation)
   | None -> ());
-  Alcotest.(check int) "probe + full budget executed" 2100 report.Explorer.schedules;
-  Alcotest.(check bool) "sampling never proves exhaustion" false report.Explorer.complete
+  Alcotest.(check int) (name ^ ": probe + full budget executed") schedules
+    report.Explorer.schedules;
+  Alcotest.(check bool) (name ^ ": sampling never proves exhaustion") false
+    report.Explorer.complete
+
+(* The lazy list stays clean under a random budget as large as the
+   exhaustive pin (2099 schedules on this very spec): sampling finds
+   no false positives on a correct lock-based algorithm (a chooser that
+   starves the lock holder turns its waiters' spin into a bogus
+   step-limit verdict). *)
+let test_lazy_clean_under_random_budget () =
+  clean_under (Explorer.Random { seed = 1; schedules = 2099 }) ~schedules:2100 "ll-lazy"
 
 (* PCT stays clean on algorithms that spin *with side effects*:
    sl-herlihy's insert retries its whole find on meeting a marked
-   node and bst-tk's version try-lock fails a CAS per retry, so the
-   read-level spin detector cannot demote them — only the chooser's
-   priority-aging backstop (Scheduler.stall_limit) stops the
-   top-priority thread from monopolizing the run into a bogus
-   step-limit "livelock".  Both used to false-positive. *)
+   node and bst-tk's version try-lock fails a CAS per retry.  Strict
+   priorities hand every decision to the top-priority retrier, so only
+   the chooser's priority-aging backstop (Scheduler.stall_limit) stops
+   it from monopolizing the run into a bogus step-limit "livelock".
+   Both used to false-positive. *)
 let test_pct_effectful_spin_fairness () =
   List.iter
-    (fun name ->
-      let policy = Explorer.Pct { seed = 1; depth = 3; schedules = 64 } in
-      let finding, report =
-        Sct.explore ~model:(Ascy_mem.Sim.model_of_name "flat") ~policy (fuzz name)
-      in
-      (match finding with
-      | Some f ->
-          Alcotest.fail
-            (Printf.sprintf "%s violated under PCT sampling: %s" name f.Sct.min_violation)
-      | None -> ());
-      Alcotest.(check int)
-        (name ^ ": probe + full budget executed")
-        65 report.Explorer.schedules)
+    (clean_under (Explorer.Pct { seed = 1; depth = 3; schedules = 64 }) ~schedules:65)
     [ "sl-herlihy"; "bst-tk" ]
+
+(* The randomized choosers choose from the whole runnable set.  Hiding
+   threads that look like they spin (a re-read of an unchanged line)
+   starved the thread they waited on: swarm on sl-pugh and PCT on
+   bst-drachsler ran to the step limit and reported a bogus livelock
+   on these very seeds. *)
+let test_randomized_no_bogus_livelock () =
+  clean_under (Explorer.Swarm { seeds = [ 1; 2; 3; 4 ]; schedules = 16 }) ~schedules:65 "sl-pugh";
+  clean_under
+    (Explorer.Pct { seed = 10; depth = 3; schedules = 1024 })
+    ~schedules:1025 "bst-drachsler"
 
 (* The fuzz workload used to break bst-howley: a stale splice helper,
    unable to tell that another helper's unlink had already landed,
@@ -617,6 +618,8 @@ let suite =
       test_lazy_clean_under_random_budget;
     Alcotest.test_case "pct stays fair under effect-ful spin loops" `Quick
       test_pct_effectful_spin_fairness;
+    Alcotest.test_case "randomized choosers: no bogus livelock on lock-based structures"
+      `Quick test_randomized_no_bogus_livelock;
     Alcotest.test_case "pct depth guarantee: missed at d-1, found at d" `Quick
       test_pct_depth_guarantee;
     Alcotest.test_case "bst-howley fuzz space clean and pinned" `Quick
