@@ -77,12 +77,30 @@ let adversarial_spec name =
 (** The registry implementation a spec names. *)
 let maker_of spec = (Ascylib.Registry.by_name spec.name).Ascylib.Registry.maker
 
-(* Keys a spec can ever touch: initial ∪ scripted. *)
+(* Keys a spec can ever touch, initial ∪ scripted: ascending, distinct. *)
 let keys_of spec =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun k -> Hashtbl.replace tbl k ()) spec.initial;
-  Array.iter (Array.iter (fun (_, k) -> Hashtbl.replace tbl k ())) spec.script;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
+  let a =
+    Array.concat (Array.of_list spec.initial :: Array.to_list (Array.map (Array.map snd) spec.script))
+  in
+  Array.sort Int.compare a;
+  let n = ref 0 in
+  Array.iter
+    (fun k ->
+      if !n = 0 || a.(!n - 1) <> k then begin
+        a.(!n) <- k;
+        incr n
+      end)
+    a;
+  Array.sub a 0 !n
+
+(* [k]'s position in [keys] (ascending, and holding [k]). *)
+let key_slot keys k =
+  let rec go lo hi =
+    let mid = (lo + hi) / 2 in
+    let c = Int.compare keys.(mid) k in
+    if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length keys)
 
 (** What one scripted run observed: [violation] is the first oracle
     that rejected it; [wedged] says that oracle was the watchdog. *)
@@ -184,8 +202,13 @@ let run ?(faults = []) ?(races = false) ?(model = Sim.default_model) ?watchdog ?
       Sim.warm sim;
       let h = History.create () in
       List.iter (History.add_initial h) spec.initial;
-      let net = Hashtbl.create 32 in
-      let bump k d = Hashtbl.replace net k (d + try Hashtbl.find net k with Not_found -> 0) in
+      (* net successful updates per key, by the key's slot in [keys] *)
+      let keys = keys_of spec in
+      let net = Array.make (Array.length keys) 0 in
+      let bump k d =
+        let i = key_slot keys k in
+        net.(i) <- net.(i) + d
+      in
       let done_ops = Array.make spec.nthreads 0 in
       let body tid () =
         Array.iter
@@ -226,25 +249,25 @@ let run ?(faults = []) ?(races = false) ?(model = Sim.default_model) ?watchdog ?
       in
       let fault_free = faults = [] in
       let conservation () =
-        List.filter_map
-          (fun k ->
-            let wanted =
-              (if List.mem k spec.initial then 1 else 0)
-              + (try Hashtbl.find net k with Not_found -> 0)
-            in
+        let bad = ref [] in
+        Array.iteri
+          (fun i k ->
+            let wanted = (if List.mem k spec.initial then 1 else 0) + net.(i) in
             let lo, hi = slack k in
             let got = if M.search t k <> None then 1 else 0 in
-            if got >= wanted + lo && got <= wanted + hi then None
-            else if fault_free then
-              Some
-                (Printf.sprintf "key %d: net count %d (initial + successful updates), membership %d"
-                   k wanted got)
-            else
-              Some
-                (Printf.sprintf
-                   "key %d: net count %d from completed ops (slack %+d..%+d), membership %d" k
-                   wanted lo hi got))
-          (keys_of spec)
+            if got < wanted + lo || got > wanted + hi then
+              bad :=
+                (if fault_free then
+                   Printf.sprintf
+                     "key %d: net count %d (initial + successful updates), membership %d" k wanted
+                     got
+                 else
+                   Printf.sprintf
+                     "key %d: net count %d from completed ops (slack %+d..%+d), membership %d" k
+                     wanted lo hi got)
+                :: !bad)
+          keys;
+        List.rev !bad
       in
       let oracles () =
         match Option.bind race Ascy_analysis.Race.violation with

@@ -25,7 +25,6 @@
     ({!Ascy_mem.Sim.dependent}). *)
 
 module Sim = Ascy_mem.Sim
-module Vec = Ascy_util.Vec
 
 let dependent = Sim.dependent
 
@@ -78,8 +77,10 @@ let wake action (s : sleep) : sleep =
     CHESS's yield-aware reduction).  Backoff work steps ([A_work]) touch
     no memory and do not break a spin.
 
-    Every overwritten cell goes on a trail, so the explorer rewinds the
-    index to any earlier step with {!undo_to} when it backtracks; lines
+    Every overwritten cell goes on a trail, a monomorphic int stack
+    ([trail] and [trail_len]) of (cell, old value) pairs, so the
+    explorer rewinds the index to any earlier step with {!undo_to} when
+    it backtracks; an int stack stores without a write barrier.  Lines
     are dense session ids, so all state is flat [int array]s of size
     O(lines × threads). *)
 type index = {
@@ -90,7 +91,8 @@ type index = {
       (** [line * threads + tid] -> latest non-stutter access of [tid] to [line], or -1 *)
   read_line : int array;  (** tid -> line of its latest access if that was a read, else -1 *)
   read_step : int array;  (** tid -> the latest non-stutter read of [read_line] *)
-  trail : int Vec.t;  (** (cell, old value) pairs; cell = [slot lsl 2 lor tag] *)
+  mutable trail : int array;  (** (cell, old value) pairs; cell = [slot lsl 2 lor tag] *)
+  mutable trail_len : int;
 }
 
 (* trail tags: which array a cell belongs to *)
@@ -112,24 +114,26 @@ let create_index ~threads =
     last_access = [||];
     read_line = Array.make threads (-1);
     read_step = Array.make threads (-1);
-    trail = Vec.create ~capacity:1024 0;
+    trail = Array.make 1024 0;
+    trail_len = 0;
   }
 
 (** The index's current position, for a later {!undo_to}. *)
-let mark ix = Vec.length ix.trail
+let mark ix = ix.trail_len
 
 (** Restore every cell overwritten since [m] was taken: the index is
     again exactly what the steps pushed before [m] built ([undo_to ix 0]
     empties it, so one index serves many explorations). *)
 let undo_to ix m =
+  if m < 0 || m > ix.trail_len then invalid_arg "Dpor.undo_to";
   let tr = ix.trail in
-  let k = ref (Vec.length tr) in
+  let k = ref ix.trail_len in
   while !k > m do
-    let cell = Vec.get tr (!k - 2) in
-    (cells ix (cell land 3)).(cell lsr 2) <- Vec.get tr (!k - 1);
+    let cell = tr.(!k - 2) in
+    (cells ix (cell land 3)).(cell lsr 2) <- tr.(!k - 1);
     k := !k - 2
   done;
-  Vec.truncate tr m
+  ix.trail_len <- m
 
 (* Lines past the capacity have seen no step: their cells hold the
    default, so growing needs no trail entry. *)
@@ -149,8 +153,15 @@ let set ix tag slot v =
   let a = cells ix tag in
   let old = a.(slot) in
   if old <> v then begin
-    Vec.push ix.trail ((slot lsl 2) lor tag);
-    Vec.push ix.trail old;
+    let n = ix.trail_len in
+    if n + 2 > Array.length ix.trail then begin
+      let tr = Array.make (2 * Array.length ix.trail) 0 in
+      Array.blit ix.trail 0 tr 0 n;
+      ix.trail <- tr
+    end;
+    ix.trail.(n) <- (slot lsl 2) lor tag;
+    ix.trail.(n + 1) <- old;
+    ix.trail_len <- n + 2;
     a.(slot) <- v
   end
 

@@ -14,8 +14,9 @@
     The path is a set of flat per-depth arrays, not a stack of node
     records: slot [d] holds the chosen tid, the length of the previous
     thread's run before the decision, the preemptions and delays
-    spent through it, its DPOR mark and action, and its todo, explored
-    and sleep sets; one arena holds every slot's runnable tids.  Each
+    spent through it, its DPOR mark and action (an int code, so that
+    recording it stores no pointer), and its todo, explored and sleep
+    sets; one arena holds every slot's runnable tids.  Each
     call to {!explore} makes one path and reuses it across its runs, so
     a run allocates no path storage once the arrays are large enough.
 
@@ -47,15 +48,17 @@
     - [max_schedules]: total run budget, after which exploration stops
       and the report is marked incomplete.
 
-    In [Dpor] mode, branching happens only where it can matter: after
-    each run, every access the run {e added} — the steps from the last
-    backtrack point down — is pushed onto an undoable per-line conflict
-    index ({!Dpor.step}), which pairs it with the latest earlier
-    conflicting access by another thread, and the later thread is
-    scheduled for exploration at the earlier decision point.  The steps
-    above the backtrack point replay unchanged and their backtrack
-    points are already added, so a run's bookkeeping costs O(new steps
-    × threads); backtracking rewinds the index with {!Dpor.undo_to}.
+    In [Dpor] mode, branching happens only where it can matter: every
+    access a run {e adds} — the steps from the last backtrack point
+    down — is pushed, as the run takes it, onto an undoable per-line
+    conflict index ({!Dpor.step}), which pairs it with the latest
+    earlier conflicting access by another thread, and the later thread
+    is scheduled for exploration at the earlier decision point.  The
+    steps above the backtrack point replay unchanged and their
+    backtrack points are already added, so a run's bookkeeping costs
+    O(new steps × threads); backtracking rewinds the index with
+    {!Dpor.undo_to}.  A failing run ends the exploration, so indexing
+    before the oracle has judged the run wastes nothing.
     Choices whose subtrees are fully explored go to sleep and are only
     woken by dependent steps.  [Naive] mode branches on every
     runnable thread at every step (within bounds) — exhaustive but
@@ -111,7 +114,8 @@ type path = {
   mutable preempts : int array;  (* preemptions spent by decisions [0..d] *)
   mutable delays : int array;  (* delays spent by decisions [0..d] *)
   mutable mark : int array;  (* DPOR index position before the step was pushed *)
-  mutable action : Sim.action array;  (* lookahead action of [chosen] = the step performed *)
+  mutable action : int array;  (* the step performed, as an {!action_code} *)
+  mutable kcas : int array array;  (* a k-CAS step's lines *)
   mutable todo : int list array;  (* alternatives still to explore *)
   mutable explored : int list array;  (* choices whose subtrees are done *)
   mutable sleep : Dpor.sleep array;
@@ -134,6 +138,7 @@ let new_path () =
     delays = [||];
     mark = [||];
     action = [||];
+    kcas = [||];
     todo = [||];
     explored = [||];
     sleep = [||];
@@ -155,12 +160,39 @@ let grow p =
   p.preempts <- ext p.preempts 0 cap;
   p.delays <- ext p.delays 0 cap;
   p.mark <- ext p.mark 0 cap;
-  p.action <- ext p.action Sim.A_start cap;
+  p.action <- ext p.action 0 cap;
+  p.kcas <- ext p.kcas [||] cap;
   p.todo <- ext p.todo [] cap;
   p.explored <- ext p.explored [] cap;
   p.sleep <- ext p.sleep Dpor.empty_sleep cap;
   p.snap_n <- ext p.snap_n 0 cap;
   p.snap_tid <- ext p.snap_tid 0 (cap * p.stride)
+
+(* Slot [d]'s step [a] as an int, so that recording a step stores no
+   pointer: an access is [line lsl 3 lor kind] (kinds 0-2), work
+   [n lsl 3 lor 3], a start 4, and a k-CAS 5 with its lines in
+   [p.kcas.(d)]. *)
+let action_code p d (a : Sim.action) =
+  match a with
+  | Sim.A_access (Sim.Read, l) -> l lsl 3
+  | Sim.A_access (Sim.Write, l) -> (l lsl 3) lor 1
+  | Sim.A_access (Sim.Rmw, l) -> (l lsl 3) lor 2
+  | Sim.A_work n -> (n lsl 3) lor 3
+  | Sim.A_start -> 4
+  | Sim.A_kcas lines ->
+      p.kcas.(d) <- lines;
+      5
+
+(* The step recorded at slot [d], back as an action. *)
+let action p d =
+  let c = p.action.(d) in
+  match c land 7 with
+  | 0 -> Sim.A_access (Sim.Read, c asr 3)
+  | 1 -> Sim.A_access (Sim.Write, c asr 3)
+  | 2 -> Sim.A_access (Sim.Rmw, c asr 3)
+  | 3 -> Sim.A_work (c asr 3)
+  | 4 -> Sim.A_start
+  | _ -> Sim.A_kcas p.kcas.(d)
 
 (* Size the snapshot arena for [threads] threads (kept when unchanged). *)
 let set_stride p threads =
@@ -219,42 +251,6 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
     p.preempts.(d) <- above p.preempts d + Scheduler.preempt_cost ~prev ~run_len r t;
     p.delays.(d) <- above p.delays d + Scheduler.delay_cost ~prev ~run_len r t
   in
-  (* Record the decision at depth [d], reached for the first time, and
-     return its choice: the default policy's, which is free. *)
-  let push st (r : Sim.runnable) d =
-    if d = Array.length p.chosen then grow p;
-    if d = 0 then set_stride p (Array.length r.Sim.r_acts);
-    let n = r.Sim.rn and base = d * p.stride in
-    for i = 0 to n - 1 do
-      p.snap_tid.(base + i) <- r.Sim.r_tids.(i)
-    done;
-    p.snap_n.(d) <- n;
-    p.run_len.(d) <- st.Scheduler.run_len;
-    let chosen = Scheduler.default_choice st r in
-    p.chosen.(d) <- chosen;
-    p.action.(d) <- r.Sim.r_acts.(chosen);
-    p.preempts.(d) <- above p.preempts d;
-    p.delays.(d) <- above p.delays d;
-    (* a dropped slot's sets are usually already empty: testing first
-       skips the write barrier *)
-    if p.explored.(d) != [] then p.explored.(d) <- [];
-    if p.todo.(d) != [] then p.todo.(d) <- [];
-    let sleep =
-      if mode = Dpor && d > 0 then Dpor.wake p.action.(d - 1) p.sleep.(d - 1)
-      else Dpor.empty_sleep
-    in
-    if p.sleep.(d) != sleep then p.sleep.(d) <- sleep;
-    if mode = Naive then begin
-      let todo = ref [] in
-      for i = n - 1 downto 0 do
-        let t = r.Sim.r_tids.(i) in
-        if t <> chosen && in_bounds d r t then todo := t :: !todo
-      done;
-      p.todo.(d) <- !todo
-    end;
-    p.len <- d + 1;
-    chosen
-  in
   (* DPOR: [t] conflicts with the step taken at depth [j]; explore it
      there if it was runnable and fits the bounds *)
   let add_backtrack j t =
@@ -267,6 +263,64 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
         && not (List.mem t p.todo.(j))
       then p.todo.(j) <- t :: p.todo.(j)
     end
+  in
+  (* DPOR: push step [d], action [a], onto the conflict index, and
+     schedule its reversal with its last conflict.  Done as the run
+     takes the step, not after it: a failing run ends the exploration,
+     so the index never needs the steps of a run that fails. *)
+  let index_step d a =
+    let ix =
+      match !index with
+      | Some ix -> ix
+      | None ->
+          let ix = Dpor.create_index ~threads:p.stride in
+          index := Some ix;
+          ix
+    in
+    p.mark.(d) <- Dpor.mark ix;
+    let j = Dpor.step ix d p.chosen.(d) a in
+    match a with Sim.A_access _ when j >= 0 -> add_backtrack j p.chosen.(d) | _ -> ()
+  in
+  (* Record the decision at depth [d], reached for the first time, and
+     return its choice: the default policy's, which is free. *)
+  let push st (r : Sim.runnable) d =
+    if d = Array.length p.chosen then grow p;
+    if d = 0 then set_stride p (Array.length r.Sim.r_acts);
+    let n = r.Sim.rn and base = d * p.stride in
+    for i = 0 to n - 1 do
+      p.snap_tid.(base + i) <- r.Sim.r_tids.(i)
+    done;
+    p.snap_n.(d) <- n;
+    p.run_len.(d) <- st.Scheduler.run_len;
+    let chosen = Scheduler.default_choice st r in
+    let a = r.Sim.r_acts.(chosen) in
+    p.chosen.(d) <- chosen;
+    p.action.(d) <- action_code p d a;
+    p.preempts.(d) <- above p.preempts d;
+    p.delays.(d) <- above p.delays d;
+    (* a dropped slot's sets are usually already empty: testing first
+       skips the write barrier *)
+    if p.explored.(d) != [] then p.explored.(d) <- [];
+    if p.todo.(d) != [] then p.todo.(d) <- [];
+    p.len <- d + 1;
+    (match mode with
+    | Dpor ->
+        let sleep =
+          match d with
+          | 0 -> Dpor.empty_sleep
+          | _ -> ( match p.sleep.(d - 1) with [] -> [] | s -> Dpor.wake (action p (d - 1)) s)
+        in
+        if p.sleep.(d) != sleep then p.sleep.(d) <- sleep;
+        index_step d a
+    | Naive ->
+        if p.sleep.(d) != [] then p.sleep.(d) <- [];
+        let todo = ref [] in
+        for i = n - 1 downto 0 do
+          let t = r.Sim.r_tids.(i) in
+          if t <> chosen && in_bounds d r t then todo := t :: !todo
+        done;
+        p.todo.(d) <- !todo);
+    chosen
   in
   (* the next live alternative at depth [d], or -1 *)
   let rec pick d =
@@ -297,7 +351,7 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
       | _ -> (
           let c = p.chosen.(d) in
           p.explored.(d) <- c :: p.explored.(d);
-          if mode = Dpor then p.sleep.(d) <- Dpor.add_sleep c p.action.(d) p.sleep.(d);
+          if mode = Dpor then p.sleep.(d) <- Dpor.add_sleep c (action p d) p.sleep.(d);
           match pick d with
           | -1 -> backtrack (d - 1)
           | t ->
@@ -315,7 +369,11 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
       let tid =
         if d < p.len then begin
           let t = p.chosen.(d) in
-          if d = !first_new then p.action.(d) <- runnable.Sim.r_acts.(t);
+          if d = !first_new then begin
+            let a = runnable.Sim.r_acts.(t) in
+            p.action.(d) <- action_code p d a;
+            if mode = Dpor then index_step d a
+          end;
           t
         end
         else push st runnable d
@@ -336,24 +394,6 @@ let explore ?(mode = Dpor) ?(bounds = default_bounds) ~run () =
         complete := false;
         finished := true
     | None ->
-        (* ---- DPOR: add backtrack points from the steps this run added ---- *)
-        if mode = Dpor && p.len > 0 then begin
-          let ix =
-            match !index with
-            | Some ix -> ix
-            | None ->
-                let ix = Dpor.create_index ~threads:p.stride in
-                index := Some ix;
-                ix
-          in
-          for i = !first_new to p.len - 1 do
-            p.mark.(i) <- Dpor.mark ix;
-            let j = Dpor.step ix i p.chosen.(i) p.action.(i) in
-            match p.action.(i) with
-            | Sim.A_access _ when j >= 0 -> add_backtrack j p.chosen.(i)
-            | _ -> ()
-          done
-        end;
         (match bounds.max_schedules with
         | Some budget when !nsched >= budget ->
             complete := false;

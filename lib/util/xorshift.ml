@@ -4,32 +4,40 @@
     simulator's deterministic choices.  Not cryptographic.  Each generator is
     an independent state, so per-thread generators never contend. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64 }
+(* The state is the generator's two 64-bit words in 16 bytes, read and
+   written in place: a draw computes on unboxed [int64]s and stores
+   them back without allocating or a write barrier. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* SplitMix64's output function. *)
+let[@inline] mix z =
+  let x = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27)) 0x94D049BB133111EBL in
+  Int64.logxor x (Int64.shift_right_logical x 31)
 
 let create seed =
   (* SplitMix64 to spread the seed over both words. *)
-  let z = ref (Int64.of_int (seed lxor 0x9E3779B9)) in
-  let next () =
-    z := Int64.add !z 0x9E3779B97F4A7C15L;
-    let x = !z in
-    let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 30)) 0xBF58476D1CE4E5B9L in
-    let x = Int64.mul (Int64.logxor x (Int64.shift_right_logical x 27)) 0x94D049BB133111EBL in
-    Int64.logxor x (Int64.shift_right_logical x 31)
-  in
-  let s0 = next () in
-  let s1 = next () in
+  let z = Int64.add (Int64.of_int (seed lxor 0x9E3779B9)) 0x9E3779B97F4A7C15L in
+  let s0 = mix z in
+  let s1 = mix (Int64.add z 0x9E3779B97F4A7C15L) in
   let s1 = if s0 = 0L && s1 = 0L then 1L else s1 in
-  { s0; s1 }
+  let t = Bytes.create 16 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  t
 
-let next_int64 t =
-  let s1 = t.s0 and s0 = t.s1 in
-  t.s0 <- s0;
+let[@inline] next_int64 t =
+  let s1 = get64 t 0 and s0 = get64 t 8 in
+  set64 t 0 s0;
   let s1 = Int64.logxor s1 (Int64.shift_left s1 23) in
   let s1 =
     Int64.logxor (Int64.logxor s1 (Int64.shift_right_logical s1 17))
       (Int64.logxor s0 (Int64.shift_right_logical s0 26))
   in
-  t.s1 <- s1;
+  set64 t 8 s1;
   Int64.add s1 s0
 
 (** [next t] returns a non-negative random [int]. *)
@@ -47,11 +55,13 @@ let below t n =
   if n <= 0 then invalid_arg "Xorshift.below: n must be positive";
   (* [next] is uniform over the [max_int + 1] values in [0, max_int];
      the top [(max_int + 1) mod n] residues would be hit once more than
-     the rest, so reject draws above the largest multiple-of-n cutoff. *)
-  let r = ((max_int mod n) + 1) mod n in
-  if r = 0 then next t mod n
+     the rest, so reject draws above the largest multiple-of-n cutoff.
+     A power of two divides [max_int + 1]: nothing is rejected, and the
+     residue is a mask.  Otherwise [(max_int + 1) mod n] is
+     [max_int mod n + 1]. *)
+  if n land (n - 1) = 0 then next t land (n - 1)
   else begin
-    let cutoff = max_int - r in
+    let cutoff = max_int - ((max_int mod n) + 1) in
     let x = ref (next t) in
     while !x > cutoff do
       x := next t
@@ -68,7 +78,7 @@ let bool t p = float t < p
 (** [copy t] is an independent generator starting from [t]'s current
     state: both produce the same stream from here, and advancing one
     never affects the other. *)
-let copy t = { s0 = t.s0; s1 = t.s1 }
+let copy t = Bytes.copy t
 
 (** [split t] derives a child generator from one draw of [t] (advancing
     [t] by exactly one step).  The child is re-seeded through the same
@@ -95,11 +105,11 @@ let jump t =
     (fun coeff ->
       for b = 0 to 63 do
         if Int64.logand coeff (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1
+          s0 := Int64.logxor !s0 (get64 t 0);
+          s1 := Int64.logxor !s1 (get64 t 8)
         end;
         ignore (next_int64 t)
       done)
     jump_coeffs;
-  t.s0 <- !s0;
-  t.s1 <- !s1
+  set64 t 0 !s0;
+  set64 t 8 !s1

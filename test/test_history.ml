@@ -123,6 +123,144 @@ let test_under_cap_still_checked () =
   done;
   Alcotest.(check bool) "62 ops per key still checked" true (H.linearizable h)
 
+(* ------------------------------------------------------------------ *)
+(* The checker against its earlier, hash-table form                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The checker as it was before grouping became a sort and the memo a
+   bit set: events grouped by key in a hash table, failed states in a
+   hash table, ops sorted by a polymorphic tuple compare.  [events] are
+   in record order. *)
+let ref_check ~initial events =
+  let check_key ~key ~initial (ops : H.event array) =
+    let n = Array.length ops in
+    let full = (1 lsl n) - 1 in
+    let seen = Hashtbl.create 256 in
+    let rec go mask present =
+      mask = full
+      || (not (Hashtbl.mem seen (mask, present)))
+         && begin
+              Hashtbl.add seen (mask, present) ();
+              let min_res = ref max_int in
+              for i = 0 to n - 1 do
+                if mask land (1 lsl i) = 0 && ops.(i).res < !min_res then min_res := ops.(i).res
+              done;
+              let ok = ref false in
+              let i = ref 0 in
+              while (not !ok) && !i < n do
+                let idx = !i in
+                incr i;
+                if mask land (1 lsl idx) = 0 && ops.(idx).inv <= !min_res then begin
+                  let op = ops.(idx) in
+                  let expected, present' =
+                    match op.kind with
+                    | H.Search -> (present, present)
+                    | H.Insert -> (not present, true)
+                    | H.Remove -> (present, false)
+                  in
+                  if op.result = expected && go (mask lor (1 lsl idx)) present' then ok := true
+                end
+              done;
+              !ok
+            end
+    in
+    if go 0 initial then Ok ()
+    else
+      Error
+        {
+          H.v_key = key;
+          v_detail =
+            Printf.sprintf
+              "no linearization of %d operation(s) matches set semantics (initial=%b): %s" n
+              initial
+              (String.concat "; "
+                 (List.map
+                    (fun (o : H.event) ->
+                      Printf.sprintf "t%d %s->%b @[%d,%d]" o.tid (H.kind_name o.kind) o.result
+                        o.inv o.res)
+                    (Array.to_list ops)));
+        }
+  in
+  let by_key = Hashtbl.create 64 in
+  List.iter
+    (fun (e : H.event) ->
+      let l = try Hashtbl.find by_key e.key with Not_found -> [] in
+      Hashtbl.replace by_key e.key (e :: l))
+    (List.rev events);
+  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) by_key [] in
+  let rec loop = function
+    | [] -> Ok ()
+    | k :: rest -> (
+        let ops = Array.of_list (Hashtbl.find by_key k) in
+        Array.sort (fun (a : H.event) b -> compare (a.inv, a.res) (b.inv, b.res)) ops;
+        match check_key ~key:k ~initial:(List.mem k initial) ops with
+        | Ok () -> loop rest
+        | Error _ as e -> e)
+  in
+  loop (List.sort compare keys)
+
+(* Random histories over 1-4 keys, up to 40 events (so some key often
+   has more than 12 ops, past the bit-set memo), invocations in a narrow
+   window so that (inv, res) ties are common, optional initial
+   membership, and results either legal for a sequential order or
+   random. *)
+let gen_history =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun nkeys ->
+  list_size (int_range 0 nkeys) (int_range 1 nkeys) >>= fun initial ->
+  bool >>= fun legal ->
+  list_size (int_range 1 40)
+    (quad (int_bound 3) (int_bound 2) (int_range 1 nkeys) (pair bool (pair (int_bound 4) (int_bound 4))))
+  >|= fun evs ->
+  let present = Hashtbl.create 8 in
+  List.iter (fun k -> Hashtbl.replace present k ()) initial;
+  let events =
+    List.mapi
+      (fun i (tid, kind, key, (coin, (dinv, dres))) ->
+        let kind = match kind with 0 -> H.Search | 1 -> H.Insert | _ -> H.Remove in
+        let was = Hashtbl.mem present key in
+        let result =
+          if not legal then coin
+          else
+            match kind with
+            | H.Search -> was
+            | H.Insert ->
+                Hashtbl.replace present key ();
+                not was
+            | H.Remove ->
+                Hashtbl.remove present key;
+                was
+        in
+        let inv = (2 * i) + dinv in
+        { H.tid; kind; key; result; inv; res = inv + dres })
+      evs
+  in
+  (initial, events)
+
+let arb_history =
+  QCheck.make gen_history ~print:(fun (initial, events) ->
+      Printf.sprintf "initial [%s]: %s"
+        (String.concat ";" (List.map string_of_int initial))
+        (String.concat "; "
+           (List.map
+              (fun (e : H.event) ->
+                Printf.sprintf "t%d %s k%d->%b @[%d,%d]" e.tid (H.kind_name e.kind) e.key e.result
+                  e.inv e.res)
+              events)))
+
+let verdict = function Ok () -> "ok" | Error v -> H.pp_violation v
+
+let prop_check_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"check = hash-table reference (verdict and text)" arb_history
+    (fun (initial, events) ->
+      let h = H.create () in
+      List.iter (H.add_initial h) initial;
+      List.iter
+        (fun (e : H.event) ->
+          H.record h ~tid:e.tid ~kind:e.kind ~key:e.key ~result:e.result ~inv:e.inv ~res:e.res)
+        events;
+      verdict (H.check h) = verdict (ref_check ~initial events))
+
 let suite =
   [
     Alcotest.test_case "accept: racing inserts" `Quick test_accept_racing_inserts;
@@ -137,4 +275,5 @@ let suite =
     Alcotest.test_case "reject: one bad key among good" `Quick test_reject_one_bad_key_among_good;
     Alcotest.test_case "too-large history raises" `Quick test_too_large;
     Alcotest.test_case "62-op history still checked" `Quick test_under_cap_still_checked;
+    QCheck_alcotest.to_alcotest prop_check_matches_reference;
   ]

@@ -500,30 +500,47 @@ let arb_dfs =
   QCheck.make gen_dfs ~print:(fun (threads, ops) ->
       Printf.sprintf "%d threads: %s" threads (String.concat ", " (List.map show_op ops)))
 
+(* Replay [ops] on a fresh index: every pushed step's answer equals the
+   whole-run reference's. *)
+let index_agrees (threads, ops) =
+  let ix = Dpor.create_index ~threads in
+  let path = Vec.create (0, Sim.A_start) in
+  let marks = Vec.create 0 in
+  List.for_all
+    (fun op ->
+      match op with
+      | Undo d ->
+          let d = d mod (Vec.length path + 1) in
+          if d < Vec.length path then Dpor.undo_to ix (Vec.get marks d);
+          Vec.truncate path d;
+          Vec.truncate marks d;
+          true
+      | Push (tid, a) ->
+          let i = Vec.length path in
+          Vec.push marks (Dpor.mark ix);
+          Vec.push path (tid, a);
+          let got = Dpor.step ix i tid a in
+          let steps = Vec.to_array path in
+          let flags = ref_stutter_flags steps in
+          got = if flags.(i) then Dpor.stutter else ref_last_conflict steps flags i)
+    ops
+
 let prop_index_matches_reference =
   QCheck.Test.make ~count:500 ~name:"dpor index = whole-run stutter/conflict reference"
-    arb_dfs (fun (threads, ops) ->
-      let ix = Dpor.create_index ~threads in
-      let path = Vec.create (0, Sim.A_start) in
-      let marks = Vec.create 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | Undo d ->
-              let d = d mod (Vec.length path + 1) in
-              if d < Vec.length path then Dpor.undo_to ix (Vec.get marks d);
-              Vec.truncate path d;
-              Vec.truncate marks d;
-              true
-          | Push (tid, a) ->
-              let i = Vec.length path in
-              Vec.push marks (Dpor.mark ix);
-              Vec.push path (tid, a);
-              let got = Dpor.step ix i tid a in
-              let steps = Vec.to_array path in
-              let flags = ref_stutter_flags steps in
-              got = if flags.(i) then Dpor.stutter else ref_last_conflict steps flags i)
-        ops)
+    arb_dfs index_agrees
+
+(* The generator's paths stay short, so their trail never outgrows its
+   first 1,024 cells.  Here two threads write 400 lines in turn (every
+   write moves two cells, so the trail grows twice), then undo to a
+   depth before the first growth, push again, and undo to 0. *)
+let test_index_trail_growth () =
+  let writes from =
+    List.init 400 (fun i -> Push (i mod 2, Sim.A_access (Sim.Write, from + i)))
+  in
+  let reads = List.init 50 (fun i -> Push (1 - (i mod 2), Sim.A_access (Sim.Read, i))) in
+  let ops = writes 0 @ [ Undo 100 ] @ reads @ writes 200 @ [ Undo 0 ] @ reads in
+  Alcotest.(check bool) "index agrees with the reference across trail growth" true
+    (index_agrees (2, ops))
 
 let test_index_cases () =
   let ix = Dpor.create_index ~threads:2 in
@@ -632,5 +649,6 @@ let suite =
       test_incomplete_flag_propagates;
     Alcotest.test_case "dpor index: stutter skip, k-CAS vs read, undo" `Quick test_index_cases;
     QCheck_alcotest.to_alcotest prop_index_matches_reference;
+    Alcotest.test_case "dpor index: undo across trail growth" `Quick test_index_trail_growth;
     QCheck_alcotest.to_alcotest prop_costs_match_candidate_order;
   ]

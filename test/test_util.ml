@@ -50,6 +50,47 @@ let test_xorshift_below_roughly_uniform () =
         (abs (c - (n / 7)) < n / 70))
     buckets
 
+(* The stream itself, pinned: the first draws of a few seeds, both
+   power-of-two bounds (a mask) and other bounds (rejection sampling).
+   Workload scripts, randomized schedules and golden results are all
+   functions of this stream. *)
+let test_xorshift_pinned_stream () =
+  let draws seed n =
+    let r = Xorshift.create seed in
+    List.init 6 (fun _ -> Xorshift.below r n)
+  in
+  let pin seed n expected =
+    Alcotest.(check (list int)) (Printf.sprintf "seed %d, below %d" seed n) expected (draws seed n)
+  in
+  pin 0 2 [ 0; 1; 0; 0; 0; 0 ];
+  pin 0 64 [ 16; 21; 28; 34; 4; 20 ];
+  pin 0 3 [ 2; 0; 0; 2; 1; 2 ];
+  pin 0 1000 [ 672; 501; 556; 26; 924; 820 ];
+  pin 1 64 [ 51; 30; 9; 51; 22; 49 ];
+  pin 1 (1 lsl 40)
+    [ 489377500083; 879829206430; 1036443450249; 665956224435; 211064255254; 163865544113 ];
+  pin 1 10 [ 9; 0; 3; 7; 2; 7 ];
+  pin 42 64 [ 60; 14; 7; 11; 30; 43 ];
+  pin 42 10 [ 2; 8; 5; 1; 8; 5 ];
+  pin 42 1000 [ 972; 518; 735; 771; 78; 955 ];
+  let r = Xorshift.create 7 in
+  let a = Xorshift.next r in
+  let b = Xorshift.next r in
+  Alcotest.(check (list int)) "seed 7, next" [ 834027085161119621; 2586368356751035403 ] [ a; b ]
+
+(* A draw computes on unboxed words: no allocation per call. *)
+let test_xorshift_no_alloc () =
+  let r = Xorshift.create 3 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Xorshift.below r 1000 + Xorshift.below r 64
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "20,000 draws allocate %.0f minor words (sum %d)" words !acc)
+    true (words < 100.)
+
 let test_vec_push_get () =
   let v = Vec.create 0 in
   for i = 0 to 999 do
@@ -176,6 +217,8 @@ let suite =
     Alcotest.test_case "xorshift below determinism" `Quick test_xorshift_below_determinism;
     Alcotest.test_case "xorshift below large n (rejection)" `Quick test_xorshift_below_large_n;
     Alcotest.test_case "xorshift below uniformity" `Quick test_xorshift_below_roughly_uniform;
+    Alcotest.test_case "xorshift pinned stream" `Quick test_xorshift_pinned_stream;
+    Alcotest.test_case "xorshift draws allocate nothing" `Quick test_xorshift_no_alloc;
     Alcotest.test_case "vec push/get/set" `Quick test_vec_push_get;
     Alcotest.test_case "vec sort" `Quick test_vec_sort;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
